@@ -188,7 +188,9 @@ def test_perf_sweep_warm_cache(tmp_path):
 
 
 def test_perf_hot_paths_beat_baseline():
-    """The optimized kernels must hold >= 1.5x over the pre-PR baseline.
+    """The optimized kernels must hold >= 1.5x over the pre-PR baseline,
+    and every policy's workload run must stay within the committed
+    regression baseline.
 
     Same kernels as ``test_simulator_performance.py``, measured
     best-of-5 so scheduler noise does not fail the bar spuriously.
@@ -212,15 +214,23 @@ def test_perf_hot_paths_beat_baseline():
                 machine.finish_job(job, now)
                 now += 1.0
 
-    full_s = _best_of(full_workload)
-    churn_s = _best_of(machine_churn)
+    def policy_run(policy, workload):
+        return lambda: run_workload(policy, workload, 1.0, config)
+
+    measured = {
+        "full_workload_s": _best_of(full_workload),
+        "machine_churn_s": _best_of(machine_churn),
+        # one run per remaining policy, at load 1.0
+        "irix_w3_s": _best_of(policy_run("IRIX", "w3")),
+        "equip_w3_s": _best_of(policy_run("Equip", "w3")),
+        "equal_eff_w1_s": _best_of(policy_run("Equal_eff", "w1")),
+    }
     ratios = {
-        "full_workload": PRE_PR_BASELINE["full_workload_s"] / full_s,
-        "machine_churn": PRE_PR_BASELINE["machine_churn_s"] / churn_s,
+        "full_workload": PRE_PR_BASELINE["full_workload_s"] / measured["full_workload_s"],
+        "machine_churn": PRE_PR_BASELINE["machine_churn_s"] / measured["machine_churn_s"],
     }
     _record("hot_paths", {
-        "full_workload_s": round(full_s, 4),
-        "machine_churn_s": round(churn_s, 4),
+        **{name: round(seconds, 4) for name, seconds in measured.items()},
         "speedup_vs_baseline": {k: round(v, 2) for k, v in ratios.items()},
     })
     for name, ratio in ratios.items():
@@ -229,15 +239,15 @@ def test_perf_hot_paths_beat_baseline():
         )
 
     # Regression gate: the committed baseline records what these
-    # kernels cost when the columnar hot core landed; CI fails when a
-    # later change regresses past the tolerance (generous, because CI
-    # containers vary in speed — the gate catches algorithmic
-    # regressions, not scheduler jitter).
+    # kernels cost; CI fails when a later change regresses past the
+    # tolerance (generous, because CI containers vary in speed — the
+    # gate catches algorithmic regressions, not scheduler jitter).
     baseline = json.loads(BASELINE_PATH.read_text())
     tolerance = baseline["tolerance_factor"]
-    for name, measured in (("full_workload_s", full_s), ("machine_churn_s", churn_s)):
+    assert set(baseline["hot_paths"]) == set(measured)
+    for name, seconds in measured.items():
         ceiling = baseline["hot_paths"][name] * tolerance
-        assert measured <= ceiling, (
-            f"{name} regressed: {measured:.4f}s vs committed baseline "
+        assert seconds <= ceiling, (
+            f"{name} regressed: {seconds:.4f}s vs committed baseline "
             f"{baseline['hot_paths'][name]:.4f}s * {tolerance}x tolerance"
         )

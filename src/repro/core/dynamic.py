@@ -17,7 +17,7 @@ modified at runtime").
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Mapping, Optional
 
 from repro.core.params import PDPAParams
 from repro.core.pdpa import PDPA
@@ -119,6 +119,6 @@ class DynamicTargetPDPA(PDPA):
 
     def on_report(
         self, job: Job, report: PerformanceReport, system: SystemView
-    ) -> AllocationDecision:
+    ) -> Mapping[int, int]:
         self._retarget(system)
         return super().on_report(job, report, system)

@@ -17,13 +17,13 @@ Equal_efficiency it
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Mapping, Optional
 
 from repro.core.mpl import MplPolicy
 from repro.core.params import PDPAParams
-from repro.core.states import AppState, PdpaJobState, evaluate_transition
+from repro.core.states import AppState, PdpaJobState, evaluate_transition, stable_drift
 from repro.qs.job import Job
-from repro.rm.base import AllocationDecision, SchedulingPolicy, SystemView
+from repro.rm.base import NO_CHANGE, AllocationDecision, SchedulingPolicy, SystemView
 from repro.runtime.selfanalyzer import PerformanceReport
 
 
@@ -164,8 +164,16 @@ class PDPA(SchedulingPolicy):
 
     def on_report(
         self, job: Job, report: PerformanceReport, system: SystemView
-    ) -> AllocationDecision:
-        """Evaluate the application's state machine on a fresh report."""
+    ) -> Mapping[int, int]:
+        """Evaluate the application's state machine on a fresh report.
+
+        Returns :data:`~repro.rm.base.NO_CHANGE` when the report moved
+        neither the allocation nor the job's automaton state — the
+        only per-report input of the admission rule (``is_settled``).
+        Most reports land there: a STABLE job whose efficiency stays in
+        the §4.2.4 band takes a cheap exit that needs no free-processor
+        count and no :class:`~repro.core.states.Transition`.
+        """
         state = self.job_states.get(job.job_id)
         if state is None:
             raise KeyError(f"PDPA has no state for job {job.job_id}")
@@ -174,25 +182,36 @@ class PDPA(SchedulingPolicy):
         # SelfAnalyzer will deliver a clean one next iteration.
         current = system.view_of(job.job_id).allocation
         if report.procs != current:
-            return {}
-        was_stable = state.state is AppState.STABLE
-        transition = evaluate_transition(
-            state, report.speedup, report.procs, self.params, system.free_cpus
-        )
-        if was_stable and transition.next_state is not AppState.STABLE:
+            return NO_CHANGE
+        prev_state = state.state
+        efficiency = report.efficiency
+        # An impossible measurement (efficiency <= 0) takes the full
+        # evaluation, which rejects it.
+        if prev_state is AppState.STABLE and efficiency > 0.0 and not any(
+            stable_drift(state, efficiency, self.params)
+        ):
+            next_state, next_allocation, resource_limited = prev_state, current, False
+        else:
+            transition = evaluate_transition(
+                state, report.speedup, report.procs, self.params, system.free_cpus
+            )
+            next_state = transition.next_state
+            next_allocation = transition.next_allocation
+            resource_limited = transition.resource_limited
+        if prev_state is AppState.STABLE and next_state is not AppState.STABLE:
             state.stable_exits += 1
-        state.remember(report.time, transition.next_state, transition.next_allocation,
-                       report.speedup, resource_limited=transition.resource_limited)
-        if was_stable and transition.next_state is AppState.STABLE \
+        state.remember(report.time, next_state, next_allocation,
+                       report.speedup, resource_limited=resource_limited)
+        if prev_state is AppState.STABLE and next_state is AppState.STABLE \
                 and state.stable_eff is not None:
             # Ratchet the settled-performance reference upward: slow
             # drifts (page-migration recovery, warming caches) must not
             # masquerade as the genuine performance change §4.2.4 waits
             # for.
-            state.stable_eff = max(state.stable_eff, report.efficiency)
-        if transition.next_allocation == current:
-            return {}
-        return {job.job_id: transition.next_allocation}
+            state.stable_eff = max(state.stable_eff, efficiency)
+        if next_allocation != current:
+            return {job.job_id: next_allocation}
+        return NO_CHANGE if next_state is prev_state else {}
 
     # ------------------------------------------------------------------
     # diagnostics

@@ -287,17 +287,7 @@ def _from_stable(
     """
     if state.stable_exits >= params.max_stable_exits:
         return Transition(AppState.STABLE, state.allocation, "stable exits exhausted")
-    low = params.target_eff * (1.0 - params.stable_hysteresis)
-    high = params.high_eff * (1.0 + params.stable_hysteresis)
-    reference = state.stable_eff
-    dropped = efficiency < low and (
-        reference is None or efficiency < reference * (1.0 - params.stable_hysteresis)
-    )
-    improved = efficiency > high and (
-        state.resource_limited
-        or reference is None
-        or efficiency > reference * (1.0 + params.stable_hysteresis)
-    )
+    dropped, improved = stable_drift(state, efficiency, params)
     if dropped:
         shrunk = _shrunk(state, params)
         if shrunk != state.allocation:
@@ -314,3 +304,28 @@ def _from_stable(
                 f"performance improved ({efficiency:.2f}); leaving STABLE",
             )
     return Transition(AppState.STABLE, state.allocation, "still acceptable")
+
+
+def stable_drift(
+    state: PdpaJobState, efficiency: float, params: PDPAParams
+) -> Tuple[bool, bool]:
+    """The §4.2.4 band test for a STABLE application.
+
+    Returns ``(dropped, improved)``: whether *efficiency* fell below,
+    or rose above, the hysteresis band around the thresholds *and*
+    around the performance the application settled at.  When both are
+    False the application stays STABLE at its allocation whatever the
+    free processors are, which is what lets :meth:`PDPA.on_report
+    <repro.core.pdpa.PDPA.on_report>` skip the full evaluation.
+    """
+    hysteresis = params.stable_hysteresis
+    reference = state.stable_eff
+    dropped = efficiency < params.target_eff * (1.0 - hysteresis) and (
+        reference is None or efficiency < reference * (1.0 - hysteresis)
+    )
+    improved = efficiency > params.high_eff * (1.0 + hysteresis) and (
+        state.resource_limited
+        or reference is None
+        or efficiency > reference * (1.0 + hysteresis)
+    )
+    return dropped, improved

@@ -386,6 +386,11 @@ class Machine:
                 self.cpus[cpu_id].health = CpuHealth.ONLINE
         return cpus
 
+    @property
+    def any_node_degraded(self) -> bool:
+        """Whether some NUMA node runs below full speed."""
+        return bool(self._node_speed)
+
     def partition_speed_factor(self, job_id: int) -> float:
         """Speed factor of a job's partition (1.0 = full speed).
 

@@ -45,9 +45,13 @@ def percentile(values: Sequence[float], q: float) -> float:
     if low == high:
         return ordered[low]
     fraction = rank - low
-    value = ordered[low] * (1.0 - fraction) + ordered[high] * fraction
-    # Guard against floating-point drift outside the sample range.
-    return min(max(value, ordered[0]), ordered[-1])
+    below, above = ordered[low], ordered[high]
+    # Stepping up from the lower sample rounds monotonically in *q*,
+    # even between equal subnormal samples, whose weighted halves
+    # would underflow to 0.0.
+    value = below + (above - below) * fraction
+    # Guard against floating-point drift outside the bracketing samples.
+    return min(max(value, below), above)
 
 
 def mean(values: Sequence[float]) -> float:

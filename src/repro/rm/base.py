@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, Optional
+from types import MappingProxyType
+from typing import Dict, Mapping, Optional
 
 from repro.qs.job import Job
 from repro.runtime.selfanalyzer import PerformanceReport
@@ -79,6 +80,14 @@ class SystemView:
 #: from the mapping keep their current allocation.
 AllocationDecision = Dict[int, int]
 
+#: What :meth:`SchedulingPolicy.on_report` returns for a report that
+#: changed nothing: no allocation, and no input of
+#: :meth:`SchedulingPolicy.wants_admission`.  The resource manager
+#: recognises it by identity and skips enforcement and the queuing
+#: system's admission retry; a plain ``{}`` keeps both.  Read-only, so
+#: no caller can fill it in.
+NO_CHANGE: Mapping[int, int] = MappingProxyType({})
+
 
 class SchedulingPolicy(ABC):
     """Base class for processor-allocation policies."""
@@ -111,8 +120,13 @@ class SchedulingPolicy(ABC):
 
     def on_report(
         self, job: Job, report: PerformanceReport, system: SystemView
-    ) -> AllocationDecision:
-        """React to a performance report (default: no change)."""
+    ) -> Mapping[int, int]:
+        """React to a performance report (default: no allocation change).
+
+        Return :data:`NO_CHANGE` only when the report cannot have
+        changed the :meth:`wants_admission` answer either; the
+        default's plain ``{}`` lets the queuing system retry admission.
+        """
         return {}
 
     def wants_admission(self, system: SystemView, queued_jobs: int) -> bool:
@@ -144,7 +158,7 @@ class SchedulingPolicy(ABC):
         """
 
     def validate_decision(
-        self, decision: AllocationDecision, system: SystemView, arriving: Optional[Job]
+        self, decision: Mapping[int, int], system: SystemView, arriving: Optional[Job]
     ) -> None:
         """Sanity-check a decision before enforcement.
 

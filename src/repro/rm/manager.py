@@ -14,14 +14,14 @@ to it.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Mapping, Optional
 
 from repro.machine.cpu import CpuHealth
 from repro.machine.machine import Machine
 from repro.machine.memory import LocalityModel
 from repro.metrics.trace import FaultRecord, ReallocationRecord, TraceRecorder
 from repro.qs.job import Job
-from repro.rm.base import AllocationDecision, JobView, SchedulingPolicy, SystemView
+from repro.rm.base import NO_CHANGE, JobView, SchedulingPolicy, SystemView
 from repro.runtime.nthlib import NthLibRuntime, RuntimeConfig, RuntimeHost
 from repro.runtime.selfanalyzer import PerformanceReport
 from repro.sim.engine import Simulator
@@ -38,6 +38,21 @@ def _no_job_finished(job: Job) -> None:
 
 def _no_job_killed(job: Job, reason: str) -> None:
     """Default ``on_job_killed``: no queuing system attached yet."""
+
+
+def _speedup_on(job: Job, procs: float) -> float:
+    """Execution rate of *job* on *procs* (effective) processors.
+
+    Malleable applications run at their curve's speedup.  Rigid
+    applications always run ``request`` processes; when the partition
+    is smaller, the processes are folded onto it and the rate scales
+    with the allocation fraction (paper §6's folding approach for MPI).
+    """
+    spec = job.spec
+    if spec.malleable:
+        return spec.speedup_model.speedup(procs)
+    assert job.request is not None
+    return spec.folded_speedup(job.request, procs)
 
 
 class BaseResourceManager(RuntimeHost):
@@ -73,8 +88,7 @@ class BaseResourceManager(RuntimeHost):
         ] = None
         #: invoked after any event that may change admission decisions.
         #: Module-level defaults (not lambdas) keep a freshly built RM
-        #: picklable: sessions checkpoint this object graph, and LP
-        #: state exchange will ship it between processes.
+        #: picklable: sessions checkpoint this object graph.
         self.on_state_change: Callable[[], None] = _no_state_change
         #: invoked with each job that completes
         self.on_job_finished: Callable[[Job], None] = _no_job_finished
@@ -205,10 +219,6 @@ class BaseResourceManager(RuntimeHost):
         """A degraded NUMA node recovered full speed."""
         self._record_fault("node_restore", node, value=1.0)
 
-    def _fault_speed_factor(self, job: Job) -> float:
-        """Slowdown from degraded hardware (1.0 when healthy)."""
-        return 1.0
-
     # ------------------------------------------------------------------
     # RuntimeHost defaults
     # ------------------------------------------------------------------
@@ -231,26 +241,8 @@ class BaseResourceManager(RuntimeHost):
         return float(nominal_procs)
 
     def iteration_speedup(self, job: Job, nominal_procs: int) -> float:
-        """Execution rate for the next iteration.
-
-        Malleable applications run at their curve's speedup for the
-        granted processors.  Rigid applications always run
-        ``request`` processes; when the partition is smaller, the
-        processes are folded onto it and the rate scales with the
-        allocation fraction (paper §6's folding approach for MPI).
-        """
-        speed_procs = self.iteration_speed_procs(job, nominal_procs)
-        if job.spec.malleable:
-            speedup = job.spec.speedup_model.speedup(speed_procs)
-        else:
-            assert job.request is not None
-            speedup = job.spec.folded_speedup(job.request, speed_procs)
-        if self.locality is not None:
-            speedup *= self.locality.speed_factor(job.job_id, self.sim.now)
-        fault_factor = self._fault_speed_factor(job)
-        if fault_factor != 1.0:
-            speedup *= fault_factor
-        return speedup
+        """Execution rate for the next iteration (see :func:`_speedup_on`)."""
+        return _speedup_on(job, self.iteration_speed_procs(job, nominal_procs))
 
 
 class _LiveSystemView(SystemView):
@@ -351,6 +343,27 @@ class SpaceSharedResourceManager(BaseResourceManager):
     def _allocation(self, job_id: int) -> int:
         return self.machine.allocation_of(job_id)
 
+    # ------------------------------------------------------------------
+    # RuntimeHost: called by NthLib at every iteration boundary
+    # ------------------------------------------------------------------
+    def current_allocation(self, job: Job) -> int:
+        return self.machine.allocation_of(job.job_id)
+
+    def iteration_speedup(self, job: Job, nominal_procs: int) -> float:
+        """Execution rate for the next iteration.
+
+        Space sharing gives every thread a whole processor, so the
+        rate is the curve's at the nominal count, scaled by the job's
+        memory locality and — only while some NUMA node is degraded —
+        by its partition's speed factor.
+        """
+        speedup = _speedup_on(job, float(nominal_procs))
+        if self.locality is not None:
+            speedup *= self.locality.speed_factor(job.job_id, self.sim.now)
+        if self.machine.any_node_degraded:
+            speedup *= self.machine.partition_speed_factor(job.job_id)
+        return speedup
+
     def _launch_runtime(self, job: Job) -> None:
         super()._launch_runtime(job)
         self._views[job.job_id] = JobView(
@@ -416,8 +429,12 @@ class SpaceSharedResourceManager(BaseResourceManager):
         view = self._views.get(job.job_id)
         if view is not None:
             view.last_report = report
-        system = self.system_view()
+        system = self._live_view
         decision = self.policy.on_report(job, report, system)
+        if decision is NO_CHANGE:
+            # Nothing the allocation or the admission rule reads moved,
+            # so the queuing system's last admission answer still holds.
+            return
         self.policy.validate_decision(decision, system, arriving=None)
         self._apply(decision)
         self.on_state_change()
@@ -425,9 +442,6 @@ class SpaceSharedResourceManager(BaseResourceManager):
     # ------------------------------------------------------------------
     # fault handling (driven by repro.faults.FaultInjector)
     # ------------------------------------------------------------------
-    def _fault_speed_factor(self, job: Job) -> float:
-        return self.machine.partition_speed_factor(job.job_id)
-
     def on_cpu_failed(self, cpu_id: int, permanent: bool = True) -> None:
         """A CPU failed: shrink capacity and repair the owner's partition.
 
@@ -530,7 +544,7 @@ class SpaceSharedResourceManager(BaseResourceManager):
     # ------------------------------------------------------------------
     # enforcement
     # ------------------------------------------------------------------
-    def _apply(self, decision: AllocationDecision) -> None:
+    def _apply(self, decision: Mapping[int, int]) -> None:
         """Resize partitions, shrinking before growing."""
         if not decision:
             return

@@ -34,8 +34,8 @@ class RuntimeHost:
     """Interface NthLib expects from the resource manager.
 
     The default implementations raise so that partial hosts fail
-    loudly; :class:`repro.rm.manager.ResourceManager` provides the
-    real behaviour.
+    loudly; :class:`repro.rm.manager.BaseResourceManager` and its
+    subclasses provide the real behaviour.
     """
 
     def current_allocation(self, job: Job) -> int:

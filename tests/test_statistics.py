@@ -48,6 +48,11 @@ class TestPercentile:
         ps = [percentile(values, q) for q in (0, 25, 50, 75, 100)]
         assert ps == sorted(ps)
 
+    def test_percentile_monotone_between_equal_subnormals(self):
+        values = [0.0, 5e-324, 5e-324]
+        ps = [percentile(values, q) for q in (0, 25, 50, 75, 100)]
+        assert ps == [0.0, 0.0, 5e-324, 5e-324, 5e-324]
+
 
 class TestMoments:
     def test_mean(self):
