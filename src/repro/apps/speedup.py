@@ -24,8 +24,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.sim.columns import amdahl_many, pchip_many
-
 
 #: Cap on memoized (procs -> speedup) entries per curve instance.  The
 #: space-shared policies only ever evaluate integer allocations, but the
@@ -68,8 +66,8 @@ class SpeedupCurve:
         equal-efficiency water-fill) evaluate the same curve at many
         candidate allocations per decision; this entry point answers
         all of them in one call.  Cache hits are served from the same
-        memo :meth:`speedup` uses; only the misses reach the batched
-        kernel, and the values stored back are bit-identical to what
+        memo :meth:`speedup` uses; only the misses reach
+        :meth:`_compute`, so the values stored back are exactly what
         point-by-point evaluation would have produced.
         """
         try:
@@ -87,7 +85,7 @@ class SpeedupCurve:
             else:
                 out[i] = value
         if misses:
-            values = self._compute_many(misses)
+            values = [self._compute(p) for p in misses]
             for i, p, value in zip(miss_idx, misses, values):
                 if len(cache) >= _SPEEDUP_CACHE_LIMIT:
                     cache.clear()
@@ -98,10 +96,6 @@ class SpeedupCurve:
     def _compute(self, procs: float) -> float:
         """Uncached speedup evaluation; implemented by subclasses."""
         raise NotImplementedError
-
-    def _compute_many(self, procs: Sequence[float]) -> List[float]:
-        """Batched uncached evaluation; subclasses override with kernels."""
-        return [self._compute(p) for p in procs]
 
     def __getstate__(self) -> Dict[str, Any]:
         # The memo cache is derived state: dropping it keeps checkpoint
@@ -159,9 +153,6 @@ class AmdahlSpeedup(SpeedupCurve):
             return procs
         f = self.serial_fraction
         return 1.0 / (f + (1.0 - f) / procs)
-
-    def _compute_many(self, procs: Sequence[float]) -> List[float]:
-        return amdahl_many(self.serial_fraction, procs)
 
 
 def _pchip_slopes(xs: Sequence[float], ys: Sequence[float]) -> List[float]:
@@ -252,9 +243,6 @@ class TabulatedSpeedup(SpeedupCurve):
             + h01 * ys[hi]
             + h11 * h * self._slopes[hi]
         )
-
-    def _compute_many(self, procs: Sequence[float]) -> List[float]:
-        return pchip_many(self._xs, self._ys, self._slopes, procs)
 
 
 class DegradingSpeedup(SpeedupCurve):

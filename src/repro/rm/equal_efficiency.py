@@ -31,7 +31,6 @@ from typing import Dict
 from repro.qs.job import Job
 from repro.rm.base import AllocationDecision, SchedulingPolicy, SystemView
 from repro.runtime.selfanalyzer import PerformanceReport
-from repro.sim.columns import predicted_efficiency_many
 
 #: Efficiency predictions are clamped to this ceiling so that a
 #: negative fitted overhead (superlinear measurement) cannot produce
@@ -77,16 +76,15 @@ def water_fill(
     if remaining <= 0:
         return allocation
     # Each job's marginal efficiency at p = 2..request depends only on
-    # its fitted overhead, so evaluate the whole column in one batched
-    # kernel call per job instead of re-deriving one point per round
-    # of the greedy loop below.
+    # its fitted overhead, so evaluate the whole column once per job
+    # instead of re-deriving one point per round of the greedy loop
+    # below.
     order = sorted(requests)
     eff_cols = {
-        jid: predicted_efficiency_many(
-            overheads.get(jid, 0.0),
-            range(2, requests[jid] + 1),
-            MAX_PREDICTED_EFFICIENCY,
-        )
+        jid: [
+            predicted_efficiency(overheads.get(jid, 0.0), p)
+            for p in range(2, requests[jid] + 1)
+        ]
         for jid in order
         if requests[jid] >= 2
     }

@@ -1,63 +1,21 @@
 """Columnar hot-core state: packed per-CPU/per-job columns + batched kernels.
 
-The simulator's three hottest computations — per-CPU burst accounting,
-speedup-curve evaluation, and SelfAnalyzer iteration timing — used to
-run as per-object scalar Python (one attribute update or one memoized
-curve call per entity per event).  This module restructures that state
-into contiguous *columns* (structure-of-arrays) and exposes *batched
-kernels* that process a whole partition, node, or candidate vector per
-call.
+The simulator's per-CPU burst accounting and SelfAnalyzer iteration
+timing keep their state in contiguous *columns* (structure-of-arrays)
+of stdlib ``array`` / ``bytearray`` storage.  *Batched kernels*
+process a whole partition or node per call as a tight loop inside
+one function, instead of one attribute update per entity per event.
 
-Backend selection happens once, at import time, behind one interface:
-
-* ``numpy`` arrays when numpy is importable (and not disabled), with
-  vectorized kernels for the float-heavy paths;
-* dependency-free ``array``/``bytearray`` packed columns otherwise,
-  with tight scalar loops inside a single function call.
-
-Both backends are required to produce **bit-identical** results — the
-kernels only ever perform the same elementwise IEEE-754 double
-operations in the same order as the retained scalar reference
-implementations (``reference_*`` below), and the kernel-parity suite
-(tests/test_columns.py) pins all three against each other, including
-NaN/inf/-0.0 payloads.  Set ``REPRO_COLUMNS_BACKEND=python`` to force
-the fallback (the no-numpy CI leg does), or ``=numpy`` to fail fast
-when numpy is missing.
-
-Serialization is canonical and backend-independent: columns pickle as
-little-endian packed bytes (``struct``), never as numpy arrays or
-Python object lists, so checkpoint envelopes shrink and stay
-byte-identical across backends.
+Serialization is canonical: columns pickle as little-endian packed
+bytes (``struct``), never as Python object lists, so checkpoint
+envelopes stay small and byte-stable.
 """
 
 from __future__ import annotations
 
-import os
 import struct
 from array import array
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    _np = None
-
-_env_backend = os.environ.get("REPRO_COLUMNS_BACKEND", "")  # repro: allow(DET110): backend choice is output-invariant by contract — the kernel-parity suite pins the numpy and fallback backends to bit-identical results, so this toggle selects an implementation, never a behaviour
-if _env_backend == "python":
-    _np = None
-elif _env_backend == "numpy":
-    if _np is None:
-        raise ImportError(
-            "REPRO_COLUMNS_BACKEND=numpy requested but numpy is not importable"
-        )
-elif _env_backend:
-    raise ValueError(
-        f"REPRO_COLUMNS_BACKEND must be 'numpy' or 'python', got {_env_backend!r}"
-    )
-
-HAVE_NUMPY = _np is not None
-#: The column backend selected at import time ("numpy" or "python").
-BACKEND = "numpy" if HAVE_NUMPY else "python"
 
 # Health codes (mirrored by repro.machine.cpu.CpuHealth; kept as plain
 # ints here so the columns module has no dependency on the machine
@@ -68,12 +26,6 @@ HEALTH_OFFLINE = 2
 
 #: Owner column value meaning "idle" (no job owns the CPU).
 NO_OWNER = -1
-
-# Below this batch size the numpy backend uses the same scalar loops as
-# the fallback: array round-trips cost more than they save on a handful
-# of elements.  Results are bit-identical either way (parity-tested),
-# so this is purely a latency knob.
-_VECTOR_MIN = 24
 
 
 def _pack_f64(values: Sequence[float]) -> bytes:
@@ -118,19 +70,11 @@ class CpuColumns:
     per-record (the trace API is row-oriented) and happens in ascending
     position order — exactly the order the old per-CPU loops used.
 
-    Storage is always packed ``array``/``bytearray`` columns — scalar
-    indexing into them is as fast as lists, and pickled bytes are
-    identical under both backends.  When numpy is available the float
-    kernels additionally hold *zero-copy* ``np.frombuffer`` views over
-    the same buffers and switch to vectorized updates for large
-    batches; writes through a view land in the packed column, so the
-    two paths share one source of truth.  (The columns never resize,
-    so the buffers — and the views — stay valid for the store's
-    lifetime.)
+    Storage is packed ``array``/``bytearray`` columns: scalar indexing
+    into them is as fast as lists, and they pickle as packed bytes.
     """
 
-    __slots__ = ("n", "owner", "app", "since", "busy", "switches", "health",
-                 "_np_since", "_np_busy")
+    __slots__ = ("n", "owner", "app", "since", "busy", "switches", "health")
 
     def __init__(self, n: int) -> None:
         if n < 1:
@@ -144,15 +88,6 @@ class CpuColumns:
         self.health = bytearray(n)
         for i in range(n):
             self.owner[i] = NO_OWNER
-        self._init_views()
-
-    def _init_views(self) -> None:
-        if HAVE_NUMPY:
-            self._np_since = _np.frombuffer(self.since, dtype=_np.float64)
-            self._np_busy = _np.frombuffer(self.busy, dtype=_np.float64)
-        else:
-            self._np_since = None
-            self._np_busy = None
 
     # ------------------------------------------------------------------
     # scalar access (cold paths: faults, queries, the CpuState view)
@@ -248,32 +183,13 @@ class CpuColumns:
 
         Bursts are handed to *emit* in the order of *ids* — callers
         pass ids in the same order the old per-CPU loop iterated, so
-        trace contents are byte-identical.  ``busy[i] += now -
-        since[i]`` is elementwise, hence bit-identical between the
-        vectorized and scalar paths.
+        trace contents are byte-identical.
         """
         owner = self.owner
         since = self.since
         busy = self.busy
         app = self.app
         switches = self.switches
-        if emit is None and HAVE_NUMPY and len(ids) >= _VECTOR_MIN:
-            idx = _np.asarray(ids, dtype=_np.intp)
-            started = self._np_since[idx]
-            duration = now - started
-            if _np.any(duration < 0):
-                bad = ids[int(_np.argmax(duration < 0))]
-                raise ValueError(
-                    f"cpu {bad}: time went backwards "
-                    f"({since[bad]} -> {now})"
-                )
-            self._np_busy[idx] += duration
-            self._np_since[idx] = now
-            for i in ids:
-                owner[i] = NO_OWNER
-                app[i] = ""
-                switches[i] += 1
-            return
         for i in ids:
             started = since[i]
             duration = now - started
@@ -304,15 +220,6 @@ class CpuColumns:
         owner = self.owner
         since = self.since
         busy = self.busy
-        if emit is None and HAVE_NUMPY and self.n >= _VECTOR_MIN:
-            mask = _np.frombuffer(owner, dtype=_np.int64) != NO_OWNER
-            started = self._np_since[mask]
-            duration = now - started
-            if _np.any(duration < 0):
-                raise ValueError("flush before burst start")
-            self._np_busy[mask] += duration
-            self._np_since[mask] = now
-            return
         for i in range(self.n):
             if owner[i] == NO_OWNER:
                 continue
@@ -326,7 +233,7 @@ class CpuColumns:
             since[i] = now
 
     # ------------------------------------------------------------------
-    # canonical serialization (backend-independent, packed)
+    # canonical serialization (packed)
     # ------------------------------------------------------------------
     def __getstate__(self) -> Dict[str, Any]:
         return {
@@ -347,142 +254,6 @@ class CpuColumns:
         self.busy = array("d", _unpack_f64(state["busy"]))
         self.switches = array("q", _unpack_i64(state["switches"]))
         self.health = bytearray(state["health"])
-        self._init_views()
-
-
-# ----------------------------------------------------------------------
-# speedup-curve kernels
-# ----------------------------------------------------------------------
-def amdahl_many(serial_fraction: float, procs: Sequence[float]) -> List[float]:
-    """Evaluate Amdahl's law at a vector of processor counts.
-
-    Kernel form of ``AmdahlSpeedup._compute``: ``p <= 0`` maps to 0.0,
-    ``p < 1`` scales linearly (time-shared fraction of a CPU), and the
-    parallel region follows ``1 / (f + (1 - f) / p)``.
-    """
-    if HAVE_NUMPY and len(procs) >= _VECTOR_MIN:
-        p = _np.asarray(procs, dtype=_np.float64)
-        out = _np.empty(len(procs), dtype=_np.float64)
-        zero = p <= 0.0
-        frac = ~zero & (p < 1.0)
-        full = ~zero & ~frac
-        out[zero] = 0.0
-        out[frac] = p[frac]
-        f = serial_fraction
-        pf = p[full]
-        denom = f + (1.0 - f) / pf
-        if _np.any(denom == 0.0):
-            # exact parity with the scalar reference, which raises here
-            # (f == 0.0 with an infinite processor count)
-            raise ZeroDivisionError("float division by zero")
-        out[full] = 1.0 / denom
-        return [float(v) for v in out]
-    return [reference_amdahl(serial_fraction, p) for p in procs]
-
-
-def reference_amdahl(serial_fraction: float, procs: float) -> float:
-    """Retained scalar reference for :func:`amdahl_many` (bit-exact)."""
-    if procs <= 0:
-        return 0.0
-    if procs < 1.0:
-        return procs
-    f = serial_fraction
-    return 1.0 / (f + (1.0 - f) / procs)
-
-
-def pchip_many(
-    xs: Sequence[float],
-    ys: Sequence[float],
-    slopes: Sequence[float],
-    procs: Sequence[float],
-) -> List[float]:
-    """Evaluate a monotone cubic (PCHIP) curve at a vector of points.
-
-    Kernel form of ``TabulatedSpeedup._compute``: below ``xs[0]`` the
-    curve scales linearly through the origin, beyond ``xs[-1]`` it
-    saturates flat, and interior points use the cubic Hermite basis.
-
-    This kernel is a *batched scalar loop under both backends*: the
-    Hermite basis contains ``(1 - t) ** 2``, and CPython's float
-    ``**`` (libm ``pow``) is not bit-identical to numpy's power
-    ufunc on this expression (numpy strength-reduces small integer
-    exponents to multiplication; measured divergence ~0.08% of
-    inputs).  Vectorizing it would silently fork the two backends,
-    so only the pure ``* / + -`` kernels (:func:`amdahl_many`,
-    :func:`predicted_efficiency_many`, the burst kernels) get numpy
-    paths.  The batching still pays: one call evaluates the whole
-    candidate vector against a locally-bound curve table instead of
-    re-entering the memoized scalar path per point.
-    """
-    return [reference_pchip(xs, ys, slopes, p) for p in procs]
-
-
-def reference_pchip(
-    xs: Sequence[float],
-    ys: Sequence[float],
-    slopes: Sequence[float],
-    procs: float,
-) -> float:
-    """Retained scalar reference for :func:`pchip_many` (bit-exact)."""
-    if procs <= 0:
-        return 0.0
-    if procs < xs[0]:
-        return procs * ys[0] / xs[0]
-    if procs >= xs[-1]:
-        return ys[-1]
-    lo, hi = 0, len(xs) - 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if xs[mid] <= procs:
-            lo = mid
-        else:
-            hi = mid
-    h = xs[hi] - xs[lo]
-    t = (procs - xs[lo]) / h
-    # Keep the exact expression shapes of the original scalar code
-    # (including ``** 2``): pow is not bit-identical to multiplication
-    # here, and these bits are pinned by the byte-identity suite.
-    h00 = (1 + 2 * t) * (1 - t) ** 2
-    h10 = t * (1 - t) ** 2
-    h01 = t * t * (3 - 2 * t)
-    h11 = t * t * (t - 1)
-    return (
-        h00 * ys[lo]
-        + h10 * h * slopes[lo]
-        + h01 * ys[hi]
-        + h11 * h * slopes[hi]
-    )
-
-
-def predicted_efficiency_many(
-    overhead: float, procs: Sequence[float], cap: float
-) -> List[float]:
-    """Evaluate ``min(1 / (1 + a * (p - 1)), cap)`` at a vector of points.
-
-    Kernel form of the equal-efficiency RM's analytic efficiency model
-    (``eff(p) = 1 / (1 + a (p - 1))``).  A denominator at or below
-    ``1 / cap`` — including the negative denominators a superlinear
-    fit produces — clamps to *cap*, exactly as the scalar
-    ``predicted_efficiency`` does.  Callers validate ``p >= 1``.
-    """
-    if HAVE_NUMPY and len(procs) >= _VECTOR_MIN:
-        p = _np.asarray(procs, dtype=_np.float64)
-        out = _np.empty(len(procs), dtype=_np.float64)
-        denom = 1.0 + overhead * (p - 1.0)
-        clamped = denom <= 1.0 / cap
-        out[clamped] = cap
-        free = ~clamped
-        out[free] = _np.minimum(1.0 / denom[free], cap)
-        return [float(v) for v in out]
-    return [reference_predicted_efficiency(overhead, p, cap) for p in procs]
-
-
-def reference_predicted_efficiency(overhead: float, procs: float, cap: float) -> float:
-    """Retained scalar reference for :func:`predicted_efficiency_many`."""
-    denom = 1.0 + overhead * (procs - 1.0)
-    if denom <= 1.0 / cap:
-        return cap
-    return min(1.0 / denom, cap)
 
 
 # ----------------------------------------------------------------------

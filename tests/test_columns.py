@@ -1,17 +1,18 @@
-"""Kernel-parity suite for the columnar hot core.
+"""Tests for the columnar hot core (:mod:`repro.sim.columns`).
 
-Every batched kernel in :mod:`repro.sim.columns` must match its
-retained scalar reference **bit for bit** — including NaN payloads,
-infinities and signed zeros — under whichever backend was selected at
-import time.  Comparisons therefore go through the packed little-endian
-byte representation (``struct.pack('<d', x)``), never ``==``: two NaNs
-compare unequal but must still carry identical bits, and ``0.0 == -0.0``
-would hide a sign flip.
+The batched burst kernels must leave the same columns whether or not
+an ``emit`` sink is attached, the packed columns must pickle
+canonically, and the running-sum and iteration-log columns must match
+the list-based state they replaced.  Float results are compared
+**bit for bit** — including NaN payloads, infinities and signed zeros —
+through the packed little-endian byte representation
+(``struct.pack('<d', x)``), never ``==``: two NaNs compare unequal but
+must still carry identical bits, and ``0.0 == -0.0`` would hide a sign
+flip.
 
-One subprocess test additionally pins the numpy backend against the
-dependency-free fallback (``REPRO_COLUMNS_BACKEND=python``) on a fixed
-adversarial input set, so cross-backend drift is caught even when CI
-only has one of the two environments.
+The speedup curves and the equal-efficiency model evaluate their
+scalar expressions directly; their bits are pinned by
+``tests/test_behaviour_pins.py`` and the perfbench reference digests.
 """
 
 from __future__ import annotations
@@ -19,34 +20,22 @@ from __future__ import annotations
 import math
 import pickle
 import struct
-import subprocess
-import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps.speedup import AmdahlSpeedup, TabulatedSpeedup
+from repro.rm.equal_efficiency import water_fill
 from repro.sim.columns import (
-    _VECTOR_MIN,
-    BACKEND,
     CpuColumns,
     IterationColumns,
     NO_OWNER,
     RunningMean,
-    amdahl_many,
-    pchip_many,
-    predicted_efficiency_many,
-    reference_amdahl,
-    reference_pchip,
-    reference_predicted_efficiency,
 )
 
 #: Any finite/NaN/inf/-0.0 double — the full IEEE-754 binary64 space.
 any_double = st.floats(allow_nan=True, allow_infinity=True, width=64)
-
-#: Batch sizes straddling the vectorization threshold, so both the
-#: scalar and (when numpy is present) the vector code paths run.
-batch_sizes = st.integers(min_value=0, max_value=2 * _VECTOR_MIN)
 
 
 def bits(values) -> bytes:
@@ -54,73 +43,12 @@ def bits(values) -> bytes:
     return struct.pack("<%dd" % len(values), *values)
 
 
-# ----------------------------------------------------------------------
-# float kernels vs scalar references
-# ----------------------------------------------------------------------
-@settings(deadline=None, max_examples=200)
-@given(
-    serial_fraction=st.floats(min_value=0.0, max_value=1.0),
-    procs=st.lists(any_double, min_size=0, max_size=2 * _VECTOR_MIN),
-)
-def test_amdahl_many_matches_reference(serial_fraction, procs):
-    # f == 0 at p == inf divides by zero in the scalar reference; the
-    # batched kernel must raise exactly where the reference does (the
-    # cross-backend probe below pins the same contract).
-    try:
-        scalar = [reference_amdahl(serial_fraction, p) for p in procs]
-    except ZeroDivisionError:
-        with pytest.raises(ZeroDivisionError):
-            amdahl_many(serial_fraction, procs)
-        return
-    batched = amdahl_many(serial_fraction, procs)
-    assert bits(batched) == bits(scalar)
-
-
-@settings(deadline=None, max_examples=200)
-@given(
-    overhead=any_double,
-    cap=st.floats(min_value=1e-6, max_value=1e6),
-    procs=st.lists(any_double, min_size=0, max_size=2 * _VECTOR_MIN),
-)
-def test_predicted_efficiency_many_matches_reference(overhead, cap, procs):
-    batched = predicted_efficiency_many(overhead, procs, cap)
-    scalar = [reference_predicted_efficiency(overhead, p, cap) for p in procs]
-    assert bits(batched) == bits(scalar)
-
-
-@st.composite
-def pchip_tables(draw):
-    """A plausible (xs, ys, slopes) curve table: xs strictly increasing."""
-    n = draw(st.integers(min_value=2, max_value=8))
-    gaps = draw(st.lists(
-        st.floats(min_value=1e-3, max_value=64.0), min_size=n, max_size=n
-    ))
-    xs = []
-    x = draw(st.floats(min_value=0.5, max_value=4.0))
-    for gap in gaps:
-        xs.append(x)
-        x += gap
-    ys = draw(st.lists(any_double, min_size=n, max_size=n))
-    slopes = draw(st.lists(any_double, min_size=n, max_size=n))
-    return xs, ys, slopes
-
-
-@settings(deadline=None, max_examples=200)
-@given(
-    table=pchip_tables(),
-    procs=st.lists(any_double, min_size=0, max_size=2 * _VECTOR_MIN),
-)
-def test_pchip_many_matches_reference(table, procs):
-    xs, ys, slopes = table
-    batched = pchip_many(xs, ys, slopes, procs)
-    scalar = [reference_pchip(xs, ys, slopes, p) for p in procs]
-    assert bits(batched) == bits(scalar)
-
-
 def test_kernels_accept_zero_length_vectors():
-    assert amdahl_many(0.1, []) == []
-    assert predicted_efficiency_many(0.05, [], 0.7) == []
-    assert pchip_many([1.0, 2.0], [1.0, 1.9], [1.0, 0.8], []) == []
+    assert AmdahlSpeedup(0.1).speedup_many([]) == []
+    curve = TabulatedSpeedup([(1.0, 1.0), (2.0, 1.9)])
+    assert curve.speedup_many([]) == []
+    # a request of one CPU has an empty efficiency column
+    assert water_fill(4, {7: 1}, {7: 0.05}) == {7: 1}
 
 
 # ----------------------------------------------------------------------
@@ -129,7 +57,7 @@ def test_kernels_accept_zero_length_vectors():
 @st.composite
 def burst_scripts(draw):
     """A machine size plus rounds of (seize, advance, release) steps."""
-    n = draw(st.integers(min_value=1, max_value=3 * _VECTOR_MIN))
+    n = draw(st.integers(min_value=1, max_value=3 * 24))
     rounds = draw(st.integers(min_value=1, max_value=4))
     script = []
     for _ in range(rounds):
@@ -145,34 +73,34 @@ def burst_scripts(draw):
 @settings(deadline=None, max_examples=100)
 @given(data=burst_scripts())
 def test_seize_release_match_scalar_path(data):
-    """The batched release/flush kernels vs their forced-scalar twins.
+    """The batched release/flush kernels with and without a sink.
 
-    Passing an ``emit`` callback forces the scalar loop, so the same
-    script driven through both paths must leave byte-identical columns
+    Attaching an ``emit`` callback must only report bursts, so the
+    same script driven both ways must leave byte-identical columns
     (busy/since accumulate floats; owner/switches are exact ints).
     """
     n, script = data
-    fast = CpuColumns(n)
-    slow = CpuColumns(n)
-    sink = lambda *args: None  # noqa: E731 - forces the scalar path
+    bare = CpuColumns(n)
+    emitting = CpuColumns(n)
+    sink = lambda *args: None  # noqa: E731 - discards emitted bursts
     now = 0.0
     job = 1
     for take, dt in script:
-        free = [i for i in take if fast.owner[i] == NO_OWNER]
-        fast.seize(free, job, f"app{job}", now)
-        slow.seize(free, job, f"app{job}", now)
+        free = [i for i in take if bare.owner[i] == NO_OWNER]
+        bare.seize(free, job, f"app{job}", now)
+        emitting.seize(free, job, f"app{job}", now)
         now += dt
-        owned = [i for i in range(n) if fast.owner[i] != NO_OWNER]
-        fast.release(owned, now)           # vector path when large
-        slow.release(owned, now, emit=sink)  # always scalar
+        owned = [i for i in range(n) if bare.owner[i] != NO_OWNER]
+        bare.release(owned, now)
+        emitting.release(owned, now, emit=sink)
         job += 1
-    fast.flush_all(now + 1.0)
-    slow.flush_all(now + 1.0, emit=sink)
-    assert bits(fast.busy) == bits(slow.busy)
-    assert bits(fast.since) == bits(slow.since)
-    assert list(fast.owner) == list(slow.owner)
-    assert list(fast.switches) == list(slow.switches)
-    assert fast.app == slow.app
+    bare.flush_all(now + 1.0)
+    emitting.flush_all(now + 1.0, emit=sink)
+    assert bits(bare.busy) == bits(emitting.busy)
+    assert bits(bare.since) == bits(emitting.since)
+    assert list(bare.owner) == list(emitting.owner)
+    assert list(bare.switches) == list(emitting.switches)
+    assert bare.app == emitting.app
 
 
 def test_release_zero_length_partition_is_noop():
@@ -189,7 +117,7 @@ def test_cpu_columns_pickle_roundtrip_is_canonical():
     cols.release(list(range(0, 30, 4)), 2.25)
     clone = pickle.loads(pickle.dumps(cols))
     assert clone.__getstate__() == cols.__getstate__()
-    # the envelope is packed bytes, not object lists or numpy arrays
+    # the envelope is packed bytes, not object lists
     state = cols.__getstate__()
     assert isinstance(state["busy"], bytes) and len(state["busy"]) == 30 * 8
     assert isinstance(state["owner"], bytes) and len(state["owner"]) == 30 * 8
@@ -310,85 +238,3 @@ def test_iteration_columns_inequality():
     assert log != [(0, 4, 1.5)]
     assert log != [(0, 4, 1.25), (1, 4, 1.0)]
     assert (log == object()) is NotImplemented or log != object()
-
-
-# ----------------------------------------------------------------------
-# cross-backend parity (numpy vs dependency-free fallback)
-# ----------------------------------------------------------------------
-_PROBE = r"""
-import struct, sys
-from repro.sim.columns import (
-    BACKEND, CpuColumns, amdahl_many, pchip_many, predicted_efficiency_many,
-)
-
-nan, inf = float("nan"), float("inf")
-procs = [nan, inf, -inf, -0.0, 0.0, 0.5, 1.0, 1.5, 7.0, 30.0, 59.9, 60.0,
-         1e-300, 1e300] + [float(p) for p in range(1, 41)]
-out = []
-out.extend(amdahl_many(0.03, procs))
-out.extend(amdahl_many(0.0, [p for p in procs if p != inf]))
-try:  # f == 0 at p == inf must raise under BOTH backends
-    amdahl_many(0.0, procs)
-    out.append(-1.0)
-except ZeroDivisionError:
-    out.append(1.0)
-out.extend(predicted_efficiency_many(0.02, procs, 0.7))
-out.extend(predicted_efficiency_many(-0.5, procs, 1.0))
-out.extend(pchip_many(
-    [1.0, 2.0, 4.0, 8.0], [1.0, 1.9, 3.4, 5.5], [1.0, 0.9, 0.6, 0.2], procs,
-))
-cols = CpuColumns(40)
-cols.seize(list(range(0, 40, 2)), 9, "hydro2d", 0.125)
-cols.release(list(range(0, 40, 2)), 2.75)
-cols.seize(list(range(40)), 2, "swim", 3.5)
-cols.flush_all(11.0625)
-out.extend(cols.busy)
-out.extend(cols.since)
-sys.stdout.write(BACKEND + ":" + struct.pack("<%dd" % len(out), *out).hex())
-"""
-
-
-def _probe_kernels(backend: str) -> str:
-    result = subprocess.run(
-        [sys.executable, "-c", _PROBE],
-        capture_output=True, text=True, check=True,
-        env={"PYTHONPATH": "src", "REPRO_COLUMNS_BACKEND": backend,
-             "PATH": "/usr/bin:/bin"},
-        cwd=str(__import__("pathlib").Path(__file__).resolve().parent.parent),
-    )
-    return result.stdout
-
-
-def test_numpy_and_fallback_backends_are_bit_identical():
-    """The two backends must agree on every output bit.
-
-    Runs the same adversarial kernel probe in two subprocesses — one
-    forced to the fallback, one on the default backend — and compares
-    the hex dumps.  On a machine without numpy both probes take the
-    fallback path and the test degenerates to a (still useful)
-    determinism check across processes.
-    """
-    fallback = _probe_kernels("python")
-    default = _probe_kernels("")
-    assert fallback.startswith("python:")
-    assert fallback.split(":", 1)[1] == default.split(":", 1)[1], (
-        "columnar kernels diverge between the %s backend and the "
-        "dependency-free fallback" % default.split(":", 1)[0]
-    )
-
-
-def test_backend_constant_is_consistent():
-    assert BACKEND in ("numpy", "python")
-    try:
-        import numpy  # noqa: F401
-        has_numpy = True
-    except ImportError:
-        has_numpy = False
-    import os
-    forced = os.environ.get("REPRO_COLUMNS_BACKEND", "")
-    if forced == "python":
-        assert BACKEND == "python"
-    elif has_numpy:
-        assert BACKEND == "numpy"
-    else:
-        assert BACKEND == "python"

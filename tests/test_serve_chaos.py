@@ -102,12 +102,56 @@ def _serve_args(workdir: Path, checkpoint: bool = True):
     return args
 
 
+def _last_journal_seq(path: Path) -> int:
+    """Highest ``seq`` among the journal's complete lines (-1 if none)."""
+    # the last element is a torn line, or empty after a trailing newline
+    for line in reversed(path.read_bytes().split(b"\n")[:-1]):
+        try:
+            return int(json.loads(line)["seq"])
+        except (ValueError, KeyError):
+            continue
+    return -1
+
+
+def _stop_past_snapshot(
+    proc, journal: Path, snapshot: Path, timeout: float = 120.0
+) -> None:
+    """Leave *proc* SIGSTOPped once the journal runs past the snapshot.
+
+    A kill that lands after an autosnapshot but before the next draw
+    is journalled leaves nothing to replay-verify.  So the server is
+    frozen, the snapshot's ``drawn`` cursor compared with the journal,
+    and the server resumed and polled again until the journal holds a
+    record with ``seq > drawn``.
+    """
+    from repro.checkpoint import read_meta
+
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        os.kill(proc.pid, signal.SIGSTOP)
+        if snapshot.exists() and (
+            _last_journal_seq(journal) > read_meta(snapshot)["drawn"]
+        ):
+            return
+        os.kill(proc.pid, signal.SIGCONT)
+        if proc.poll() is not None:
+            raise AssertionError(
+                f"serve exited (rc={proc.returncode}) before the journal "
+                f"ran past its snapshot"
+            )
+        time.sleep(0.02)
+    raise AssertionError("journal never ran past the snapshot cursor")
+
+
 def _kill_midstream(workdir: Path) -> Path:
     """Start a journalled serve run and SIGKILL it mid-stream.
 
-    Returns the snapshot path left behind by the periodic checkpoints.
+    The kill lands while the journal holds at least one record past
+    the snapshot's cursor.  Returns the snapshot path left behind by
+    the periodic checkpoints.
     """
     journal = workdir / "arrivals.jsonl"
+    snapshot = workdir / "ck" / "serve-PDPA.ckpt"
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro"] + _serve_args(workdir),
         env=_cli_env(), cwd=str(REPO_ROOT),
@@ -115,12 +159,12 @@ def _kill_midstream(workdir: Path) -> Path:
     )
     try:
         _wait_for_lines(journal, KILL_AFTER_LINES, proc)
+        _stop_past_snapshot(proc, journal, snapshot)
     finally:
         if proc.poll() is None:
             os.kill(proc.pid, signal.SIGKILL)
         proc.wait(timeout=30)
     assert proc.returncode == -signal.SIGKILL
-    snapshot = workdir / "ck" / "serve-PDPA.ckpt"
     assert snapshot.exists(), "no checkpoint landed before the kill"
     return snapshot
 
