@@ -26,6 +26,8 @@ construction and are reproduced faithfully:
 
 from __future__ import annotations
 
+import math
+from heapq import heapify, heappop, heappush
 from typing import Dict
 
 from repro.qs.job import Job
@@ -36,14 +38,20 @@ from repro.runtime.selfanalyzer import PerformanceReport
 #: negative fitted overhead (superlinear measurement) cannot produce
 #: unbounded or negative extrapolations.
 MAX_PREDICTED_EFFICIENCY = 2.5
+#: at or below this denominator a prediction clamps to the ceiling
+_MIN_DENOMINATOR = 1.0 / MAX_PREDICTED_EFFICIENCY
 
 
 def fit_overhead(procs: int, efficiency: float) -> float:
     """Fit the overhead parameter ``a`` from one (procs, eff) sample."""
     if procs <= 1:
         return 0.0
-    if efficiency <= 0:
-        raise ValueError(f"efficiency must be positive, got {efficiency}")
+    # NaN fails every comparison, so ``efficiency <= 0`` alone would
+    # let it through as a NaN overhead.
+    if not math.isfinite(efficiency) or efficiency <= 0:
+        raise ValueError(
+            f"efficiency must be positive and finite, got {efficiency}"
+        )
     return (1.0 / efficiency - 1.0) / (procs - 1)
 
 
@@ -52,7 +60,7 @@ def predicted_efficiency(a: float, procs: int) -> float:
     if procs < 1:
         raise ValueError(f"procs must be >= 1, got {procs}")
     denominator = 1.0 + a * (procs - 1)
-    if denominator <= 1.0 / MAX_PREDICTED_EFFICIENCY:
+    if denominator <= _MIN_DENOMINATOR:
         return MAX_PREDICTED_EFFICIENCY
     return min(1.0 / denominator, MAX_PREDICTED_EFFICIENCY)
 
@@ -65,7 +73,8 @@ def water_fill(
     Every job starts at one CPU; each remaining CPU goes to the job
     whose *next* CPU has the highest extrapolated efficiency, until
     CPUs run out or all jobs reach their requests.  Ties break on job
-    id for determinism.
+    id for determinism: the smaller id wins.  A job whose next CPU
+    does not extrapolate to a positive efficiency gets no more CPUs.
     """
     if total_cpus < len(requests):
         raise ValueError(
@@ -75,35 +84,52 @@ def water_fill(
     remaining = total_cpus - len(requests)
     if remaining <= 0:
         return allocation
-    # Each job's marginal efficiency at p = 2..request depends only on
-    # its fitted overhead, so evaluate the whole column once per job
-    # instead of re-deriving one point per round of the greedy loop
-    # below.
-    order = sorted(requests)
-    eff_cols = {
-        jid: [
-            predicted_efficiency(overheads.get(jid, 0.0), p)
-            for p in range(2, requests[jid] + 1)
-        ]
-        for jid in order
-        if requests[jid] >= 2
-    }
-    while remaining > 0:
-        best_jid = None
-        best_eff = 0.0
-        for jid in order:
-            current = allocation[jid]
-            if current >= requests[jid]:
-                continue
-            # column index for p = current + 1 (the column starts at p=2)
-            eff = eff_cols[jid][current - 1]
-            if eff > best_eff:
-                best_eff = eff
-                best_jid = jid
-        if best_jid is None:
-            break
-        allocation[best_jid] += 1
+    # A min-heap of (-next efficiency, jid) holds the greedy's
+    # candidates, so its top is the job a scan over all of them would
+    # pick.  A job's next efficiency changes only when it is granted a
+    # CPU, so it is evaluated once per grant, never as a full column.
+    heap = []
+    for jid, request in requests.items():
+        if request >= 2:
+            a = overheads.get(jid, 0.0)
+            eff = predicted_efficiency(a, 2)
+            if eff > 0.0:
+                heap.append((-eff, jid, a, request))
+    heapify(heap)
+    while heap:
+        _, jid, a, request = heappop(heap)
+        # The popped job keeps its CPUs coming while it beats the
+        # runner-up: a strictly higher efficiency, or an equal one and
+        # a smaller id.  With no runner-up, any positive efficiency
+        # wins, as the scan's best-so-far starts at zero.
+        if heap:
+            top_eff = -heap[0][0]
+            top_jid = heap[0][1]
+        else:
+            top_eff = 0.0
+            top_jid = jid
+        procs = allocation[jid] + 1
         remaining -= 1
+        while procs < request and remaining:
+            # predicted_efficiency(a, procs + 1), inlined: the same
+            # float expression, with its min() clamp spelled as a branch
+            denominator = 1.0 + a * procs
+            if denominator <= _MIN_DENOMINATOR:
+                eff = MAX_PREDICTED_EFFICIENCY
+            else:
+                eff = 1.0 / denominator
+                if eff > MAX_PREDICTED_EFFICIENCY:
+                    eff = MAX_PREDICTED_EFFICIENCY
+            if eff > top_eff or (eff == top_eff and jid < top_jid):
+                procs += 1
+                remaining -= 1
+            else:
+                if eff > 0.0:
+                    heappush(heap, (-eff, jid, a, request))
+                break
+        allocation[jid] = procs
+        if not remaining:
+            break
     return allocation
 
 

@@ -26,7 +26,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.speedup import AmdahlSpeedup, TabulatedSpeedup
-from repro.rm.equal_efficiency import water_fill
 from repro.sim.columns import (
     CpuColumns,
     IterationColumns,
@@ -47,8 +46,6 @@ def test_kernels_accept_zero_length_vectors():
     assert AmdahlSpeedup(0.1).speedup_many([]) == []
     curve = TabulatedSpeedup([(1.0, 1.0), (2.0, 1.9)])
     assert curve.speedup_many([]) == []
-    # a request of one CPU has an empty efficiency column
-    assert water_fill(4, {7: 1}, {7: 0.05}) == {7: 1}
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Unit tests for the Equal_efficiency policy."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,6 +17,70 @@ from repro.rm.equal_efficiency import (
     water_fill,
 )
 from repro.runtime.selfanalyzer import PerformanceReport
+
+
+def _reference_water_fill(total_cpus, requests, overheads):
+    """The column-and-scan water-fill that ``water_fill`` replaced.
+
+    A frozen test oracle: every job's efficiency column at
+    p = 2..request is built up front, then each spare CPU goes to the
+    first job in id order with the strictly highest next efficiency.
+    """
+    if total_cpus < len(requests):
+        raise ValueError(
+            f"cannot give {len(requests)} jobs >= 1 CPU with {total_cpus} CPUs"
+        )
+    allocation = {jid: 1 for jid in requests}
+    remaining = total_cpus - len(requests)
+    if remaining <= 0:
+        return allocation
+    order = sorted(requests)
+    eff_cols = {
+        jid: [
+            predicted_efficiency(overheads.get(jid, 0.0), p)
+            for p in range(2, requests[jid] + 1)
+        ]
+        for jid in order
+        if requests[jid] >= 2
+    }
+    while remaining > 0:
+        best_jid = None
+        best_eff = 0.0
+        for jid in order:
+            current = allocation[jid]
+            if current >= requests[jid]:
+                continue
+            eff = eff_cols[jid][current - 1]
+            if eff > best_eff:
+                best_eff = eff
+                best_jid = jid
+        if best_jid is None:
+            break
+        allocation[best_jid] += 1
+        remaining -= 1
+    return allocation
+
+
+@st.composite
+def water_fill_cases(draw):
+    """(total, requests, overheads) with unsorted ids and exact ties."""
+    # list order is dict insertion order, so ids arrive unsorted
+    ids = draw(st.lists(st.integers(0, 999), min_size=1, max_size=8,
+                        unique=True))
+    requests = {jid: draw(st.integers(1, 64)) for jid in ids}
+    shared = draw(st.floats(-2.0, 0.5))
+    overhead = st.one_of(
+        st.just(0.0),
+        st.just(shared),  # exact duplicates: efficiency ties
+        st.sampled_from([1e-17, -1e-17, 1e308, math.inf]),
+        st.floats(-2.0, 0.5),
+    )
+    overheads = {}
+    for jid in ids:
+        if draw(st.integers(0, 4)):  # else missing: the 0.0 default
+            overheads[jid] = draw(overhead)
+    total = draw(st.integers(len(requests), 192))
+    return total, requests, overheads
 
 
 def report(job_id, procs, speedup, time=10.0):
@@ -45,6 +111,11 @@ class TestOverheadModel:
     def test_fit_rejects_nonpositive_efficiency(self):
         with pytest.raises(ValueError):
             fit_overhead(10, 0.0)
+
+    @pytest.mark.parametrize("efficiency", [math.nan, math.inf, -math.inf])
+    def test_fit_rejects_nonfinite_efficiency(self, efficiency):
+        with pytest.raises(ValueError):
+            fit_overhead(10, efficiency)
 
     def test_prediction_decreases_for_positive_overhead(self):
         a = fit_overhead(10, 0.7)
@@ -81,6 +152,36 @@ class TestWaterFill:
     def test_too_many_jobs_raises(self):
         with pytest.raises(ValueError):
             water_fill(1, {1: 5, 2: 5}, {})
+
+    def test_request_of_one_gets_no_spare(self):
+        assert water_fill(4, {7: 1}, {7: 0.05}) == {7: 1}
+
+    def test_tie_gives_odd_spare_to_smaller_id(self):
+        # three spare CPUs, two identical jobs: the odd one goes to id 2
+        alloc = water_fill(5, {5: 30, 2: 30}, {5: 0.1, 2: 0.1})
+        assert list(alloc.items()) == [(5, 2), (2, 3)]
+
+    def test_rising_column_beside_falling_one(self):
+        # A negative overhead extrapolates to *rising* efficiency: job
+        # 2 keeps beating job 1 all the way to its request.
+        requests = {1: 8, 2: 8}
+        overheads = {1: 0.1, 2: -0.1}
+        alloc = water_fill(10, requests, overheads)
+        assert list(alloc.items()) == [(1, 2), (2, 8)]
+        assert alloc == _reference_water_fill(10, requests, overheads)
+
+    def test_zero_efficiency_stops_growth(self):
+        # a * (p - 1) overflows to inf at p = 3: the extrapolated
+        # efficiency is 0.0 and the job gets no third CPU.
+        assert water_fill(10, {1: 8}, {1: 1e308}) == {1: 2}
+
+    @tier_settings("standard")
+    @given(case=water_fill_cases())
+    def test_matches_column_scan_oracle(self, case):
+        total, requests, overheads = case
+        new = water_fill(total, requests, overheads)
+        oracle = _reference_water_fill(total, requests, overheads)
+        assert list(new.items()) == list(oracle.items())
 
     @tier_settings("standard")
     @given(
