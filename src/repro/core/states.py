@@ -63,12 +63,15 @@ class PdpaJobState:
     resource_limited: bool = False
     #: number of times this job left STABLE (ping-pong limiter)
     stable_exits: int = 0
-    #: (time, state, allocation) history for diagnostics
+    #: (time, state, allocation) after every transition that changed
+    #: the state or the allocation, for diagnostics
     history: List[Tuple[float, AppState, int]] = field(default_factory=list)
 
     def remember(self, time: float, new_state: AppState, new_allocation: int,
                  speedup: float, resource_limited: bool = False) -> None:
         """Apply a transition, updating the recent-past memory."""
+        if new_state is not self.state or new_allocation != self.allocation:
+            self.history.append((time, new_state, new_allocation))
         if new_allocation != self.allocation:
             self.prev_allocation = self.allocation
             self.prev_speedup = speedup
@@ -83,7 +86,6 @@ class PdpaJobState:
             self.resource_limited = False
         self.state = new_state
         self.allocation = new_allocation
-        self.history.append((time, new_state, new_allocation))
 
     @property
     def is_settled(self) -> bool:

@@ -97,6 +97,16 @@ class SchedulingPolicy(ABC):
 
     #: Fixed multiprogramming level, or ``None`` when the policy
     #: decides admission dynamically (PDPA).
+    #:
+    #: Contract: with a fixed level, :meth:`wants_admission` reads only
+    #: the running-job count, the machine size and the queue length.
+    #: No performance report moves any of these, so the space-shared
+    #: resource manager does not make the queuing system retry
+    #: admission after a report under such a policy; it retries after
+    #: arrivals, completions, kills and capacity changes (so an EASY
+    #: backfill pass, :mod:`repro.qs.backfill`, also runs only then).
+    #: A policy whose admission answer depends on reports must set
+    #: ``None``.
     fixed_mpl: Optional[int] = 4
 
     #: Whether the policy's decisions depend on SelfAnalyzer reports.

@@ -425,19 +425,26 @@ class SpaceSharedResourceManager(BaseResourceManager):
     # reports
     # ------------------------------------------------------------------
     def _accept_report(self, job: Job, report: PerformanceReport) -> None:
-        super()._accept_report(job, report)
-        view = self._views.get(job.job_id)
+        job_id = job.job_id
+        self.reports[job_id] = report
+        self.last_report_time[job_id] = self.sim.now
+        view = self._views.get(job_id)
         if view is not None:
             view.last_report = report
+        policy = self.policy
         system = self._live_view
-        decision = self.policy.on_report(job, report, system)
+        decision = policy.on_report(job, report, system)
         if decision is NO_CHANGE:
             # Nothing the allocation or the admission rule reads moved,
             # so the queuing system's last admission answer still holds.
             return
-        self.policy.validate_decision(decision, system, arriving=None)
+        policy.validate_decision(decision, system, arriving=None)
         self._apply(decision)
-        self.on_state_change()
+        if policy.fixed_mpl is None:
+            # A fixed-MPL admission answer reads no input a report can
+            # move (see SchedulingPolicy.fixed_mpl), so only a dynamic
+            # multiprogramming level is asked again.
+            self.on_state_change()
 
     # ------------------------------------------------------------------
     # fault handling (driven by repro.faults.FaultInjector)

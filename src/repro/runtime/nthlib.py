@@ -217,7 +217,7 @@ class NthLibRuntime:
 
     def _end_iteration(self, procs: int, duration: float) -> None:
         iteration = self.app.completed_iterations
-        self.app.record_iteration(procs, duration)
+        self.app.record_iteration()
         if self.tuner is not None and not (
             self.analyzer is not None and self.analyzer.in_baseline
         ):

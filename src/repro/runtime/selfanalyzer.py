@@ -30,14 +30,16 @@ one reason the paper imposes thresholds rather than exact targets).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import NamedTuple, Optional
 
 from repro.sim.columns import RunningMean
 
 
-@dataclass(frozen=True)
-class PerformanceReport:
-    """One performance sample delivered to the resource manager."""
+class PerformanceReport(NamedTuple):
+    """One performance sample delivered to the resource manager.
+
+    Immutable; a modified copy comes from ``report._replace(...)``.
+    """
 
     job_id: int
     time: float
@@ -118,7 +120,8 @@ class SelfAnalyzer:
         self._measured = 0
         self._skip = 0
         self._last_procs: Optional[int] = None
-        self.reports: List[PerformanceReport] = []
+        #: most recent report, if any
+        self.last_report: Optional[PerformanceReport] = None
 
     # ------------------------------------------------------------------
     # baseline handling
@@ -186,15 +189,8 @@ class SelfAnalyzer:
             return None
 
         speedup = self.estimate_speedup(procs, duration)
-        report = PerformanceReport(
-            job_id=self.job_id,
-            time=time,
-            iteration=iteration,
-            procs=procs,
-            speedup=speedup,
-            iter_time=duration,
-        )
-        self.reports.append(report)
+        report = PerformanceReport(self.job_id, time, iteration, procs, speedup, duration)
+        self.last_report = report
         return report
 
     def estimate_speedup(self, procs: int, duration: float) -> float:
@@ -227,11 +223,6 @@ class SelfAnalyzer:
             return 1.0
         slope = (cfg.assumed_base_speedup - 1.0) / (cfg.baseline_procs - 1)
         return 1.0 + slope * (procs - 1)
-
-    @property
-    def last_report(self) -> Optional[PerformanceReport]:
-        """Most recent report, if any."""
-        return self.reports[-1] if self.reports else None
 
     def reset_baseline(self) -> None:
         """Discard the baseline and re-measure it.

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 #: compaction threshold: the queue physically drops lazily-deleted
 #: events once the heap holds at least this many entries and live
@@ -106,15 +106,6 @@ class Event:
         """Ordering key: (time, priority, insertion sequence)."""
         return (self.time, self.priority, self.seq)
 
-    def __lt__(self, other: "Event") -> bool:
-        # Hot path: this comparison runs O(log n) times per push/pop,
-        # so avoid building the sort_key() tuples.
-        if self.time != other.time:  # repro: allow(DET106): heap ordering must match heapq's exact comparison; an epsilon here would make __lt__ intransitive and corrupt the heap
-            return self.time < other.time
-        if self.priority != other.priority:
-            return self.priority < other.priority
-        return self.seq < other.seq
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = (
             "cancelled" if self._cancelled
@@ -124,8 +115,16 @@ class Event:
         return f"Event(t={self.time:.6f}, prio={self.priority}, {self.label!r}, {state})"
 
 
+#: heap entry: ``(*event.sort_key(), event)``
+_Entry = Tuple[float, int, int, Event]
+
+
 class EventQueue:
     """Min-heap of :class:`Event` objects with lazy deletion.
+
+    Heap entries are ``(time, priority, seq, event)`` tuples, so heapq
+    orders them by :meth:`Event.sort_key` with C-level tuple compares;
+    ``seq`` is unique, so the event itself is never compared.
 
     Cancellation never removes an event from the heap; the event is
     marked and skipped when it reaches the top.  All lazy-deletion
@@ -134,7 +133,7 @@ class EventQueue:
     """
 
     def __init__(self) -> None:
-        self._heap: List[Event] = []
+        self._heap: List[_Entry] = []
         self._live = 0
         #: cancellations pre-paid through the legacy note_cancelled()
         #: hook, to be reconciled when the events surface in _purge().
@@ -142,7 +141,7 @@ class EventQueue:
 
     def push(self, event: Event) -> None:
         """Insert *event* into the queue."""
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (event.time, event.priority, event.seq, event))
         self._live += 1
 
     def cancel(self, event: Event) -> bool:
@@ -171,8 +170,8 @@ class EventQueue:
         here, consuming any pre-paid ``note_cancelled`` credits first.
         """
         heap = self._heap
-        while heap and heap[0]._cancelled:
-            event = heapq.heappop(heap)
+        while heap and heap[0][3]._cancelled:
+            event = heapq.heappop(heap)[3]
             if not event._cancel_noted:
                 event._cancel_noted = True
                 if self._noted_pending > 0:
@@ -208,9 +207,9 @@ class EventQueue:
         heap = self._heap
         if not heap:
             return None
-        if horizon is not None and heap[0].time > horizon:
+        if horizon is not None and heap[0][0] > horizon:
             return None
-        event = heapq.heappop(heap)
+        event = heapq.heappop(heap)[3]
         event._fired = True
         self._live -= 1
         return event
@@ -218,7 +217,7 @@ class EventQueue:
     def peek(self) -> Optional[Event]:
         """The earliest live event without removing it, or ``None``."""
         self._purge()
-        return self._heap[0] if self._heap else None
+        return self._heap[0][3] if self._heap else None
 
     def peek_time(self) -> Optional[float]:
         """Time of the earliest live event, or ``None`` if empty."""
@@ -259,10 +258,11 @@ class EventQueue:
         heap = self._heap
         if self._live == len(heap):
             return
-        survivors: List[Event] = []
-        for event in heap:
+        survivors: List[_Entry] = []
+        for entry in heap:
+            event = entry[3]
             if not event._cancelled:
-                survivors.append(event)
+                survivors.append(entry)
             elif not event._cancel_noted:
                 event._cancel_noted = True
                 if self._noted_pending > 0:
@@ -358,7 +358,7 @@ class Simulator:
         one, without popping anything.
         """
         return sorted(
-            event.label for event in self._queue._heap if not event._cancelled
+            event.label for *_, event in self._queue._heap if not event._cancelled
         )
 
     def schedule_at(

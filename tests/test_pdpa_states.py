@@ -342,6 +342,16 @@ class TestPdpaJobStateMemory:
         assert s.allocation == 24
         assert s.history == [(1.0, AppState.INC, 24)]
 
+    def test_history_logs_transitions_only(self):
+        s = state(20, app_state=AppState.STABLE)
+        s.remember(1.0, AppState.STABLE, 20, speedup=16.0)
+        s.remember(2.0, AppState.STABLE, 20, speedup=15.0)
+        assert s.history == []
+        s.remember(3.0, AppState.DEC, 20, speedup=12.0)   # state change
+        s.remember(4.0, AppState.DEC, 16, speedup=12.0)   # allocation change
+        s.remember(5.0, AppState.DEC, 16, speedup=11.5)   # neither
+        assert s.history == [(3.0, AppState.DEC, 20), (4.0, AppState.DEC, 16)]
+
     def test_remember_keeps_memory_when_allocation_unchanged(self):
         s = state(20)
         s.remember(1.0, AppState.STABLE, 20, speedup=16.0)

@@ -7,20 +7,22 @@ guard counts admission retries (outermost ``try_start`` calls; the
 re-entrant ones a start makes are coalesced by the queuing system)
 and bounds them by the events that can change admission.  It also
 checks that the fast path still hands every delivered report to the
-policy.
+policy.  Under a fixed multiprogramming level no report can change the
+admission answer at all, so no report retries admission.
 """
 
 from __future__ import annotations
 
 import copy
 import hashlib
-from typing import Optional
+from typing import Dict, Optional
 
 import pytest
 
 from repro.core.dynamic import DynamicTargetPDPA
 from repro.core.pdpa import PDPA
 from repro.core.states import AppState, PdpaJobState, evaluate_transition
+from repro.experiments.ablations import FixedMplPDPA
 from repro.experiments.common import (
     ExperimentConfig,
     build_session,
@@ -30,6 +32,9 @@ from repro.faults.scenarios import build_scenario
 from repro.qs.job import Job
 from repro.qs.workload import TABLE1_MIXES, generate_workload
 from repro.rm.base import NO_CHANGE, JobView, SystemView
+from repro.rm.equal_efficiency import EqualEfficiency
+from repro.rm.equipartition import Equipartition
+from repro.rm.mccann import McCannDynamic
 from repro.runtime.selfanalyzer import PerformanceReport
 from repro.sim.rng import RandomStreams
 
@@ -151,3 +156,65 @@ def test_dynamic_target_history_is_unchanged() -> None:
     assert hashlib.sha256(history).hexdigest() == (
         "91904fdc853f7e0460bef7975f6c51c52fac9ca5e64f0e58dfc3eb29f6aff1c0"
     )
+
+
+def _report_retries(policy, workload: str) -> Dict[str, int]:
+    """Run *policy* on *workload*; count reports and the admission
+    retries reached from inside ``deliver_report``.
+
+    After every report it also checks that the queue is empty or the
+    RM refuses the head job: a retry at that point, made or skipped,
+    starts nothing.
+    """
+    config = ExperimentConfig(seed=0)
+    session = build_session("Equip", _jobs(config, workload), config, load=1.0)
+    qs, rm = session.qs, session.rm
+    rm.policy = policy  # swapped in before the first arrival
+    counts = {"reports": 0, "in_report": 0, "retries": 0}
+
+    try_start = qs.try_start
+
+    def watched_try_start() -> None:
+        if counts["in_report"]:
+            counts["retries"] += 1
+        try_start()
+
+    qs.try_start = watched_try_start
+    rm.on_state_change = watched_try_start
+
+    deliver_report = rm.deliver_report
+
+    def watched_deliver(job, report) -> None:
+        counts["reports"] += 1
+        counts["in_report"] += 1
+        try:
+            deliver_report(job, report)
+        finally:
+            counts["in_report"] -= 1
+        assert not qs.queue or not rm.can_admit(
+            len(qs.queue), head_request=qs.queue[0].request
+        )
+
+    rm.deliver_report = watched_deliver
+    session.run()
+    assert len(qs.completed) == len(session.jobs)
+    return counts
+
+
+@pytest.mark.parametrize("workload", ["w1", "w2", "w3"])
+@pytest.mark.parametrize("make_policy", [
+    Equipartition, EqualEfficiency, McCannDynamic, FixedMplPDPA,
+], ids=["Equip", "Equal_eff", "McCann", "FixedMplPDPA"])
+def test_fixed_mpl_reports_never_retry_admission(make_policy, workload: str) -> None:
+    policy = make_policy()
+    assert policy.fixed_mpl is not None
+    counts = _report_retries(policy, workload)
+    assert counts["reports"] > 100
+    assert counts["retries"] == 0
+
+
+def test_pdpa_reports_still_retry_admission() -> None:
+    # PDPA's admission rule reads the automaton states a report moves.
+    counts = _report_retries(PDPA(), "w3")
+    assert counts["reports"] > 100
+    assert counts["retries"] > 0

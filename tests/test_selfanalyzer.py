@@ -132,10 +132,11 @@ class TestReportCadence:
         a = analyzer(skip_after_realloc=0)
         assert a.last_report is None
         a.on_iteration(0.0, 0, 1, 10.0)
-        a.on_iteration(1.0, 1, 2, 5.0)
-        a.on_iteration(2.0, 2, 2, 5.0)
-        assert len(a.reports) == 2
-        assert a.last_report is a.reports[-1]
+        first = a.on_iteration(1.0, 1, 2, 5.0)
+        assert a.last_report is first
+        second = a.on_iteration(2.0, 2, 2, 5.0)
+        assert second is not None and second is not first
+        assert a.last_report is second
 
     def test_input_validation(self):
         a = analyzer()

@@ -1,7 +1,12 @@
 """Unit tests for the discrete-event engine."""
 
-import pytest
+import pickle
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.fuzz.profiles import tier_settings
 from repro.sim.engine import Event, EventQueue, SimulationError, Simulator
 
 
@@ -477,3 +482,87 @@ class TestCheckpointHook:
         sim.clear_checkpoint_hook()
         sim.run()
         assert len(ticks) == 2
+
+
+# ----------------------------------------------------------------------
+# differential check: the heap against a sorted model of live events
+# ----------------------------------------------------------------------
+#: few distinct times and priorities, so exact ties are common
+_times = st.sampled_from([0.0, 0.5, 1.0, 2.0])
+_priorities = st.sampled_from([Simulator.PRIORITY_EARLY, Simulator.PRIORITY_NORMAL,
+                               Simulator.PRIORITY_LATE])
+_pick = st.integers(min_value=0, max_value=10_000)
+_queue_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("push"), st.tuples(_times, _priorities)),
+        # a burst large enough to cross the automatic-compaction threshold
+        st.tuples(st.just("push_many"), st.lists(st.tuples(_times, _priorities),
+                                                 min_size=30, max_size=70)),
+        st.tuples(st.just("cancel"), _pick),
+        st.tuples(st.just("cancel_half"), _pick),
+        st.tuples(st.just("bare_cancel"), _pick),
+        st.tuples(st.just("bare_cancel_noted"), _pick),
+        st.tuples(st.just("pop"), st.just(0)),
+        st.tuples(st.just("compact"), st.just(0)),
+        st.tuples(st.just("pickle"), st.just(0)),
+    ),
+    max_size=60,
+)
+
+
+@tier_settings("standard")
+@given(ops=_queue_ops)
+def test_event_queue_pops_in_sort_key_order(ops):
+    """Pops follow ``sorted(live, key=Event.sort_key)`` under every mix
+    of ties, the three cancel paths, compaction and a pickle round trip."""
+    q = EventQueue()
+    live = {}    # seq -> the queue's Event object, for live events only
+    seq = 0
+
+    def push(time, priority):
+        nonlocal seq
+        event = Event(time, priority, seq, int, (), f"e{seq}")
+        q.push(event)
+        live[seq] = event
+        seq += 1
+
+    def pick(index):
+        return sorted(live)[index % len(live)]
+
+    def expect_pop():
+        expected = min(live.values(), key=Event.sort_key) if live else None
+        popped = q.pop()
+        if expected is None:
+            assert popped is None
+        else:
+            assert popped is expected
+            del live[popped.seq]
+
+    for op, arg in ops:
+        if op == "push":
+            push(*arg)
+        elif op == "push_many":
+            for time, priority in arg:
+                push(time, priority)
+        elif op == "pop":
+            expect_pop()
+        elif op == "compact":
+            q.compact()
+        elif op == "pickle":
+            q = pickle.loads(pickle.dumps(q))
+            by_seq = {entry[3].seq: entry[3] for entry in q._heap}
+            live = {s: by_seq[s] for s in live}
+        elif live:
+            if op == "cancel":
+                assert q.cancel(live.pop(pick(arg)))
+            elif op == "cancel_half":
+                for victim in sorted(live)[arg % 2::2]:
+                    assert q.cancel(live.pop(victim))
+            elif op == "bare_cancel":
+                live.pop(pick(arg)).cancel()
+            else:  # bare_cancel_noted
+                live.pop(pick(arg)).cancel()
+                q.note_cancelled()
+    expected = sorted(live.values(), key=Event.sort_key)
+    assert list(iter(q.pop, None)) == expected
+    assert len(q) == 0

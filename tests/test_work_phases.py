@@ -65,7 +65,7 @@ class TestIterationDurations:
         for _ in range(4):
             d = app.iteration_duration(2)  # speedup 2
             durations.append(d)
-            app.record_iteration(2, d)
+            app.record_iteration()
         assert durations[0] == pytest.approx(1.0)
         assert durations[1] == pytest.approx(1.0)
         assert durations[2] == pytest.approx(3.0)
@@ -103,12 +103,12 @@ class TestAnalyzerReset:
         analyzer = self._run(reset=False)
         # After the 4x work increase, the stale baseline reads the
         # same allocation as a 4x lower speedup.
-        late = analyzer.reports[-1]
+        late = analyzer.last_report
         assert late.speedup < 0.5 * late.procs  # true efficiency is 1.0
 
     def test_with_reset_speedups_recover(self):
         analyzer = self._run(reset=True)
-        late = analyzer.reports[-1]
+        late = analyzer.last_report
         # Fresh baseline: the linear app measures ~perfect speedup again.
         assert late.speedup == pytest.approx(late.procs, rel=0.05)
 
