@@ -23,9 +23,13 @@ def test_fig4_workload1(benchmark, config, seeds):
 
     full = 1.0
     # PDPA close behind Equipartition (its worst case, bounded loss).
-    for app in ("swim", "bt.A"):
+    # PDPA/Equip response at load 1.0 over seed pairs (0,1) .. (14,15):
+    # bt.A 1.06-1.31, swim 0.98-1.10 (EXPERIMENTS.md, Fig. 4).  Each
+    # bound sits just above that range.
+    bounds = {"bt.A": 1.35, "swim": 1.15}
+    for app, bound in bounds.items():
         ratio = comparison.ratio(app, "response", "PDPA", "Equip", full)
-        assert ratio < 1.7, f"PDPA should stay close to Equip on {app}"
+        assert ratio < bound, f"PDPA should stay close to Equip on {app}"
     # Both coordinated space-sharing policies beat Equal_efficiency.
     for policy in ("PDPA", "Equip"):
         for app in ("swim", "bt.A"):

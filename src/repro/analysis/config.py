@@ -16,6 +16,8 @@ The linter is configured from the ``[tool.repro.analysis]`` table of
     wallclock-allow = ["repro/experiments/clock.py"]
     # path fragments never linted
     exclude = []
+    # classes whose pickled object graph is checkpoint state (CONC303)
+    session-roots = ["repro.checkpoint.session.SimulationSession"]
 
 Paths are matched as substrings of the file's posix path, so the
 configuration survives repository moves and works from any working
@@ -64,6 +66,8 @@ class AnalysisConfig:
     sim_paths: Tuple[str, ...] = DEFAULT_SIM_PATHS
     wallclock_allow: Tuple[str, ...] = DEFAULT_WALLCLOCK_ALLOW
     exclude: Tuple[str, ...] = ()
+    #: class qnames whose reachable objects must pickle (``repro lint --deep``)
+    session_roots: Tuple[str, ...] = ()
     #: where the config was read from (None = built-in defaults)
     source: Optional[str] = field(default=None, compare=False)
 
@@ -137,13 +141,14 @@ def _parse_minitoml_table(text: str, table: str) -> Dict[str, object]:
     return values
 
 
-def read_table(pyproject: Path, table: str) -> Dict[str, object]:
-    """The raw mapping of one dotted TOML table from *pyproject*.
+def _read_analysis_table(pyproject: Path) -> Dict[str, object]:
+    """The raw ``[tool.repro.analysis]`` mapping from *pyproject*.
 
-    Sub-tables of the requested table are dropped (values are strings
-    and string arrays only), matching what the mini-TOML fallback can
-    represent, so both parse paths agree.
+    Sub-tables are dropped (values are strings and string arrays
+    only), matching what the mini-TOML fallback can represent, so both
+    parse paths agree.
     """
+    table = "tool.repro.analysis"
     text = pyproject.read_text(encoding="utf-8")
     try:
         import tomllib
@@ -159,11 +164,6 @@ def read_table(pyproject: Path, table: str) -> Dict[str, object]:
     if not isinstance(node, dict):
         return {}
     return {key: value for key, value in node.items() if not isinstance(value, dict)}
-
-
-def _read_analysis_table(pyproject: Path) -> Dict[str, object]:
-    """The raw ``[tool.repro.analysis]`` mapping from *pyproject*."""
-    return read_table(pyproject, "tool.repro.analysis")
 
 
 def find_pyproject(start: Union[str, Path]) -> Optional[Path]:
@@ -205,4 +205,5 @@ def load_config(start: Union[str, Path] = ".") -> AnalysisConfig:
         sim_paths=str_tuple("sim-paths", DEFAULT_SIM_PATHS),
         wallclock_allow=str_tuple("wallclock-allow", DEFAULT_WALLCLOCK_ALLOW),
         exclude=str_tuple("exclude", ()),
+        session_roots=str_tuple("session-roots", ()),
     )

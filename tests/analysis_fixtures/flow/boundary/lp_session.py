@@ -1,6 +1,6 @@
 """Session-state picklability (CONC303).
 
-``SessionRoot`` is declared as a session root in the test's boundary
+``SessionRoot`` is declared as a session root in the test's analysis
 config: everything reachable from it via attribute types must survive
 pickling.  ``Recorder`` is reachable (``self.recorder = Recorder(...)``)
 and stores an open file handle and a thread lock; the root itself

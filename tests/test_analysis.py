@@ -97,6 +97,19 @@ class TestSuppressions:
         # and the underlying DET102 findings still fire
         assert len(by_rule["DET102"]) == 3
 
+    @pytest.mark.parametrize("rule", [f"CONC{n}" for n in (301, 302)])
+    def test_retired_rule_suppression_is_det100(self, rule):
+        # the LP-boundary rules left the catalog with the LP cut; an
+        # allow comment still naming one must surface, not linger
+        text = (
+            "def send(sim):\n"
+            f"    # repro: allow({rule}): event-channel send\n"
+            "    sim.schedule_at(1.0, print)\n"
+        )
+        findings = Linter(FIXTURE_CONFIG).lint_text(text, "sample.py")
+        assert [(f.line, f.rule) for f in findings] == [(2, "DET100")]
+        assert rule in findings[0].message
+
     def test_suppression_in_string_literal_is_ignored(self):
         text = 'HINT = "use # repro: allow(DET101): reason"\n'
         assert Linter(FIXTURE_CONFIG).lint_text(text, "sample.py") == []

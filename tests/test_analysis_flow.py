@@ -1,15 +1,14 @@
-"""Tests for the flow tier: effects, taint, boundaries, manifest, CLI.
+"""Tests for the flow tier: taint, session-state picklability, CLI.
 
 The interprocedural layer is exercised against
 ``tests/analysis_fixtures/flow/``: each fixture plants violations for
-one DET2xx/CONC3xx rule and marks every expected finding line with
+one DET2xx/CONC303 rule and marks every expected finding line with
 ``# EXPECT: <ID>`` — including the syntactic DET1xx findings the same
 line triggers, so the EXPECT sets double as a record of how the two
 tiers relate.  ``pair_det105.py`` is the acceptance fixture: the
 syntactic DET105 fires, its flow counterpart DET205 provably does not.
 """
 
-import json
 import os
 import re
 import subprocess
@@ -18,34 +17,22 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import AnalysisConfig, render_json
+from repro.analysis import AnalysisConfig
 from repro.analysis.flow import FLOW_RULE_IDS, FLOW_RULES
+from repro.analysis.config import load_config
 from repro.analysis.flow.analyzer import analyze_paths, deep_lint
-from repro.analysis.flow.boundary import (
-    BoundaryConfig,
-    boundaries_from_table,
-    load_boundaries,
-)
-from repro.analysis.flow.effects import analyze_effects, global_key
-from repro.analysis.flow.project import Project, module_name_for
+from repro.analysis.flow.project import module_name_for
+from repro.analysis.flow.session_state import reachable_classes
 from repro.cli import _changed_python_files, main
 
 FLOW_FIXTURES = Path(__file__).parent / "analysis_fixtures" / "flow"
 REPO_ROOT = Path(__file__).parent.parent
 
 #: The fixture directory counts as simulation code so the sim-gated
-#: rules (DET203 for the flow tier, DET105 syntactically) fire there.
-FLOW_CONFIG = AnalysisConfig(sim_paths=("analysis_fixtures/flow/",))
-
-#: The LP cut declared for the boundary fixtures: ``lp_machine`` is
-#: the machine side, ``lp_sched``/``lp_channel`` the scheduler side,
-#: and only ``lp_channel`` is a sanctioned caller into the machine.
-FLOW_BOUNDS = BoundaryConfig(
-    sides=(
-        ("machine", ("lp_machine",)),
-        ("scheduler", ("lp_channel", "lp_sched")),
-    ),
-    channels=(("lp_channel", "lp_machine"),),
+#: rules (DET203 for the flow tier, DET105 syntactically) fire there,
+#: and ``lp_session.SessionRoot`` is the CONC303 session root.
+FLOW_CONFIG = AnalysisConfig(
+    sim_paths=("analysis_fixtures/flow/",),
     session_roots=("lp_session.SessionRoot",),
 )
 
@@ -64,9 +51,7 @@ def expected_findings(path: Path):
 @pytest.fixture(scope="module")
 def fixture_findings():
     """One combined syntactic+flow pass over the whole fixture tree."""
-    return deep_lint(
-        [str(FLOW_FIXTURES)], config=FLOW_CONFIG, boundaries=FLOW_BOUNDS
-    )
+    return deep_lint([str(FLOW_FIXTURES)], config=FLOW_CONFIG)
 
 
 @pytest.fixture(scope="module")
@@ -94,11 +79,6 @@ class TestFixtureRules:
             if posix.endswith(f.path)
         }
         assert found == expected
-
-    def test_channel_fixture_is_clean(self, fixture_findings):
-        assert not any(
-            f.path.endswith("lp_channel.py") for f in fixture_findings
-        )
 
     def test_every_flow_rule_has_a_fixture(self):
         covered = set()
@@ -136,62 +116,40 @@ class TestSelfClean:
     def test_source_tree_has_no_flow_findings(self, src_report):
         assert src_report.findings == []
 
-    def test_suppressed_findings_are_the_audited_event_sends(self, src_report):
-        # docs/lp-boundary-audit.md documents exactly these three
-        assert [
-            (f.path.split("/")[-1], f.rule) for f in src_report.suppressed
-        ] == [("queuing.py", "CONC301")] * 3
+    def test_no_flow_findings_are_suppressed(self, src_report):
+        assert src_report.suppressed == []
 
     def test_session_roots_are_reachable(self, src_report):
-        # the CONC303 scan is only meaningful if the declared root
-        # actually resolves to a project class with typed attributes
-        roots = src_report.boundaries.session_roots
-        assert "repro.checkpoint.session.SimulationSession" in roots
-        project = src_report.analysis.project
-        assert roots[0] in project.classes
-
-
-class TestManifest:
-    def test_committed_manifest_matches_regenerated(self, src_report):
-        committed = (REPO_ROOT / "effects-manifest.json").read_text()
-        assert committed == src_report.manifest_text()
-
-    def test_manifest_is_sorted_json(self, src_report):
-        data = json.loads(src_report.manifest_text())
-        assert data["format"] == 1
-        assert list(data["modules"]) == sorted(data["modules"])
-
-    def test_manifest_records_the_suppressed_cross_edges(self, src_report):
-        data = json.loads(src_report.manifest_text())
-        edges = data["cross_boundary"]
-        # the queuing-system event sends cross scheduler→machine and
-        # are visible in the manifest even though the findings are
-        # suppressed — the manifest is the audit trail
-        assert any(
-            e["caller"].startswith("repro.qs.queuing.") and not e["channel"]
-            for e in edges
+        # the CONC303 scan is only meaningful if the declared roots
+        # actually resolve to project classes with typed attributes
+        roots = load_config(str(REPO_ROOT / "src")).session_roots
+        assert roots == (
+            "repro.checkpoint.session.SimulationSession",
+            "repro.serve.session.ServeSession",
         )
-        assert any(e["channel"] for e in edges)  # rm→machine is declared
+        assert all(root in src_report.project.classes for root in roots)
 
-    def test_manifest_stable_across_hash_seeds(self):
-        outputs = set()
-        for seed in ("1", "42"):
-            env = dict(os.environ, PYTHONHASHSEED=seed,
-                       PYTHONPATH=str(REPO_ROOT / "src"))
-            outputs.add(subprocess.run(
-                [sys.executable, "-c", (
-                    "from repro.analysis import AnalysisConfig\n"
-                    "from repro.analysis.flow.analyzer import analyze_paths\n"
-                    "import sys\n"
-                    "r = analyze_paths([sys.argv[1]],"
-                    " config=AnalysisConfig(sim_paths=('analysis_fixtures/flow/',)))\n"
-                    "sys.stdout.write(r.manifest_text())\n"
-                ), str(FLOW_FIXTURES)],
-                capture_output=True, text=True, check=True, env=env,
-                cwd=str(REPO_ROOT),
-            ).stdout)
-        assert len(outputs) == 1
+    def test_serve_snapshot_state_is_scanned(self, src_report):
+        # ServeSession subclasses SimulationSession, and the walk only
+        # goes up the MRO: without its own root, the serve-only state
+        # that serve snapshots pickle would never be scanned
+        roots = load_config(str(REPO_ROOT / "src")).session_roots
+        project = src_report.project
+        serve_only = reachable_classes(project, roots) - reachable_classes(
+            project, roots[:1]
+        )
+        assert serve_only == {
+            "repro.qs.streaming.IngressConfig",
+            "repro.qs.streaming.StreamingQS",
+            "repro.serve.journal.JournalEntry",
+            "repro.serve.session.ArrivalPump",
+            "repro.serve.session.ServeConfig",
+            "repro.serve.session.ServeSession",
+            "repro.serve.source.ArrivalSource",
+        }
 
+
+class TestOutputStability:
     def test_json_report_stable_across_hash_seeds(self):
         outputs = set()
         for seed in ("3", "99"):
@@ -202,8 +160,9 @@ class TestManifest:
                     "from repro.analysis import AnalysisConfig, render_json\n"
                     "from repro.analysis.flow.analyzer import deep_lint\n"
                     "import sys\n"
-                    "fs = deep_lint([sys.argv[1]],"
-                    " config=AnalysisConfig(sim_paths=('analysis_fixtures/flow/',)))\n"
+                    "fs = deep_lint([sys.argv[1]], config=AnalysisConfig("
+                    "sim_paths=('analysis_fixtures/flow/',),"
+                    " session_roots=('lp_session.SessionRoot',)))\n"
                     "sys.stdout.write(render_json(fs))\n"
                 ), str(FLOW_FIXTURES)],
                 capture_output=True, text=True, check=True, env=env,
@@ -212,55 +171,15 @@ class TestManifest:
         assert len(outputs) == 1
 
 
-class TestBoundaryConfig:
-    def test_pyproject_table_round_trips(self):
-        bounds = load_boundaries(str(REPO_ROOT / "src"))
-        assert bounds.source and bounds.source.endswith("pyproject.toml")
-        assert dict(bounds.sides)["machine"] == ("repro.machine", "repro.sim")
-        assert ("repro.rm", "repro.machine") in bounds.channels
-
-    def test_side_of_uses_longest_prefix(self):
-        bounds = boundaries_from_table({
-            "a": ["pkg"], "b": ["pkg.sub"],
-        })
-        assert bounds.side_of("pkg.other.mod") == "a"
-        assert bounds.side_of("pkg.sub.mod") == "b"
-
-    def test_channels_are_directional(self):
-        assert FLOW_BOUNDS.is_channel("lp_channel.feed", "lp_machine.Engine.push")
-        assert not FLOW_BOUNDS.is_channel("lp_machine.Engine.push", "lp_channel.feed")
-
-    def test_empty_config_is_falsy_and_checks_nothing(self):
-        assert not BoundaryConfig()
-        report = analyze_paths(
-            [str(FLOW_FIXTURES / "boundary")],
-            config=FLOW_CONFIG,
-            boundaries=BoundaryConfig(),
-        )
-        assert not any(f.rule.startswith("CONC") for f in report.findings)
-
-
 class TestProjectModel:
     def test_module_name_walks_packages(self):
         assert module_name_for(
             REPO_ROOT / "src" / "repro" / "sim" / "engine.py"
         ) == "repro.sim.engine"
         # fixture files live outside any package: bare stem
-        assert module_name_for(FLOW_FIXTURES / "boundary" / "lp_machine.py") == (
-            "lp_machine"
+        assert module_name_for(FLOW_FIXTURES / "boundary" / "lp_session.py") == (
+            "lp_session"
         )
-
-    def test_effects_see_cross_module_global_writes(self):
-        project = Project.load([str(FLOW_FIXTURES / "boundary")], FLOW_CONFIG)
-        analysis = analyze_effects(project)
-        key = global_key("lp_machine", "EVENTS")
-        writers = {
-            qname for qname, fx in analysis.direct.items()
-            if key in fx.global_writes
-        }
-        # both the from-import idiom (lp_sched) and the own-module
-        # append (lp_machine) are classified as writes to the same key
-        assert writers == {"lp_machine.Engine.log_local", "lp_sched.log_cross"}
 
     def test_rule_catalog_is_complete(self):
         assert {r.id for r in FLOW_RULES} == FLOW_RULE_IDS
@@ -323,16 +242,15 @@ class TestChangedFiles:
 
 
 class TestCli:
-    def test_update_manifest_requires_deep(self):
-        with pytest.raises(SystemExit, match="requires --deep"):
-            main(["lint", "--update-manifest", "src/repro"])
+    def test_update_manifest_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["lint", "--deep", "--update-manifest", "src/repro"])
+        assert exit_info.value.code == 2  # argparse usage error
+        assert "--update-manifest" in capsys.readouterr().err
 
-    def test_deep_lint_cli_is_clean_and_writes_manifest(
-        self, tmp_path, capsys, monkeypatch
-    ):
+    def test_deep_lint_cli_is_clean(self, capsys):
         # the fixture tree is excluded by the repo config, so the deep
-        # CLI run over it must come back clean without touching the
-        # real manifest
+        # CLI run over it must come back clean
         code = main(["lint", "--deep", str(FLOW_FIXTURES)])
         assert code == 0
         assert "clean" in capsys.readouterr().out
