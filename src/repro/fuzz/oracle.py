@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.machine.machine import MachineError
 from repro.qs.job import JobState
-from repro.validate import Violation, validate_race
+from repro.validate import Violation, validate_race, validate_sweep_journal
 
 if TYPE_CHECKING:
     from repro.fuzz.targets import FuzzTarget
@@ -661,31 +661,9 @@ def check_sweep_accounting(
     return problems
 
 
-def check_sweep_journal(runner: Any, cells: Any, payloads: Any) -> List[Violation]:
-    """Every completed cell journalled with an honest digest."""
-    from repro.parallel import cell_key, payload_digest
-
-    journal = getattr(runner, "journal", None)
-    if journal is None or runner.cache is None:
-        return []
-    problems = []
-    for cell, payload in zip(cells, payloads):
-        if payload is None:
-            continue
-        entry = journal.get(cell_key(cell.fn, cell.params))
-        if entry is None:
-            problems.append(Violation(
-                "sweep-journal", "sweep",
-                f"cell {cell.key!r}: completed but not journalled",
-            ))
-        elif not entry.matches(payload):
-            problems.append(Violation(
-                "sweep-journal", "sweep",
-                f"cell {cell.key!r}: journal digest {entry.digest[:12]}… "
-                f"does not match payload digest "
-                f"{payload_digest(payload)[:12]}…",
-            ))
-    return problems
+#: every completed cell journalled with an honest digest — the one
+#: ``sweep-journal`` invariant, shared with :func:`validate_sweep`
+check_sweep_journal = validate_sweep_journal
 
 
 def check_race(race: Any) -> List[Violation]:

@@ -39,6 +39,7 @@ import os
 from pathlib import Path
 from typing import Any, Dict, Optional
 
+from repro.parallel.journal import payload_digest
 from repro.storage.layer import StorageLayer, default_storage
 
 logger = logging.getLogger(__name__)
@@ -209,7 +210,7 @@ class ResultCache:
             return None
         if owner != key or len(payload) != length:
             return None
-        if hashlib.sha256(payload.encode("utf-8")).hexdigest() != digest:
+        if payload_digest(payload) != digest:
             return None
         return payload
 
@@ -243,7 +244,7 @@ class ResultCache:
         the cache trades durability for write latency safely.
         """
         path = self.path_for(key)
-        digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        digest = payload_digest(payload)
         header = f"{_MAGIC} key={key} sha256={digest} bytes={len(payload)}\n"
         try:
             path.parent.mkdir(parents=True, exist_ok=True)

@@ -43,13 +43,14 @@ from repro.parallel.cache import (
     cell_key,
 )
 from repro.parallel.errors import UnserialisableRecord
-from repro.parallel.journal import JournalWriteError, SweepJournal
+from repro.parallel.journal import JournalEntry, SweepJournal
 from repro.parallel.supervisor import (
     CellFailure,
     PoolSupervisor,
     SupervisionPolicy,
     run_serial_supervised,
 )
+from repro.storage.layer import JournalWriteError
 
 logger = logging.getLogger(__name__)
 
@@ -442,7 +443,7 @@ class SweepRunner:
         if self.journal is None or self.journal.get(key) is not None:
             return
         try:
-            self.journal.append(key, payload, label=label)
+            self.journal.append(JournalEntry.of_payload(key, payload, label))
         except JournalWriteError as exc:
             stats = self.last_stats
             if stats.storage_degraded == 0:

@@ -7,11 +7,14 @@ Modules
 * :mod:`repro.storage.layer` — the IO primitives every durability
   protocol writes through (:class:`StorageLayer`), op tracing, and
   honest fsync-failure semantics.
+* :mod:`repro.storage.journal` — the durable-log primitive
+  (:class:`~repro.storage.journal.Journal`) that both write-ahead
+  journals, serve arrivals and sweep cells, bind to their codec.
 * :mod:`repro.storage.torture` — the crash-state enumerator: every
   distinct filesystem a traced run could leave behind.
-* :mod:`repro.storage.protocols` — the five protocol harnesses
-  (serve journal, sweep journal, checkpoint, cache, status) and their
-  recovery invariants, driven by ``repro torture``.
+* :mod:`repro.storage.protocols` — the protocol harnesses (one
+  journal harness run once per codec, checkpoint, cache, status) and
+  their recovery invariants, driven by ``repro torture``.
 
 Only the plan and layer are re-exported here: the torture modules
 import the protocol implementations, which in turn import this

@@ -11,7 +11,7 @@ protocol                  recovery invariant
 ``serve-journal``         recovered records are a byte-identical
                           prefix of the appended series, at least as
                           long as the acked count; loading never raises
-``sweep-journal``         same, keyed by cell (file order preserved)
+``sweep-journal``         same harness, run on the cell codec
 ``checkpoint``            :func:`read_snapshot` yields exactly one
                           *written* version, never older than the last
                           acked one, never a blend; a file that exists
@@ -45,7 +45,7 @@ import hashlib
 import json
 import shutil
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.checkpoint.errors import (
     CheckpointCorruptError,
@@ -54,9 +54,12 @@ from repro.checkpoint.errors import (
 )
 from repro.checkpoint.format import read_snapshot, write_snapshot
 from repro.parallel.cache import ResultCache
+from repro.parallel.journal import JournalEntry as CellEntry
 from repro.parallel.journal import SweepJournal
-from repro.serve.journal import ArrivalJournal, JournalEntry
+from repro.serve.journal import ArrivalJournal
+from repro.serve.journal import JournalEntry as ArrivalEntry
 from repro.serve.service import read_status, write_status_payload
+from repro.storage.journal import Journal
 from repro.storage.layer import (
     CrashPoint,
     JournalWriteError,
@@ -134,11 +137,11 @@ def _fault_plans(ops: Sequence[str], crash_ops: Sequence[str],
 
 
 # ----------------------------------------------------------------------
-# serve / sweep journals
+# write-ahead journals: one harness, instantiated once per codec
 # ----------------------------------------------------------------------
-def _arrival_entries(count: int) -> List[JournalEntry]:
+def _arrival_entries(count: int) -> List[ArrivalEntry]:
     return [
-        JournalEntry(
+        ArrivalEntry(
             seq=i + 1, job_id=1000 + i, app=f"app{i % 3}",
             submit=2.5 * i, request=(i % 7) + 1,
         )
@@ -146,48 +149,67 @@ def _arrival_entries(count: int) -> List[JournalEntry]:
     ]
 
 
-class ServeJournalProtocol:
-    """Arrival journal: append N records, each acked after its fsync."""
+def _cell_entries(count: int) -> List[CellEntry]:
+    return [
+        CellEntry.of_payload(
+            f"cell-{i:02d}",
+            json.dumps({"cell": i, "mean": 1.5 * i}, sort_keys=True,
+                       separators=(",", ":")),
+            label=f"cell-{i:02d}",
+        )
+        for i in range(count)
+    ]
 
-    name = "serve-journal"
-    records = 12
-    filename = "arrivals.jsonl"
+
+class JournalProtocol:
+    """A write-ahead journal: append *entries*, each acked after its fsync."""
+
+    def __init__(self, name: str, filename: str,
+                 journal_type: Type[Journal[Any, Any]], entries: List[Any],
+                 seed_offset: int) -> None:
+        self.name = name
+        self.filename = filename
+        self.journal_type = journal_type
+        self.entries = entries
+        #: keeps each codec's seeded fault plans distinct
+        self.seed_offset = seed_offset
+
+    def _recovered(self, path: Path) -> List[str]:
+        journal = self.journal_type(path, resume=True)
+        return [entry.to_json() for entry in journal.entries.values()]
 
     def run(self, layer: StorageLayer, workdir: Path) -> List[str]:
-        journal = ArrivalJournal(workdir / self.filename, storage=layer)
+        journal = self.journal_type(workdir / self.filename, storage=layer)
         lines = []
-        for entry in _arrival_entries(self.records):
+        for entry in self.entries:
             journal.append(entry)
-            layer.ack("append", str(entry.seq))
+            layer.ack("append", str(entry.key))
             lines.append(entry.to_json())
         journal.close()
         return lines
 
     def check(self, state_dir: Path, acked: int,
               expect: List[str]) -> List[str]:
-        journal = ArrivalJournal(state_dir / self.filename, resume=True)
-        recovered = [journal.entries[s].to_json() for s in sorted(journal.entries)]
+        recovered = self._recovered(state_dir / self.filename)
         return _check_prefix(self.name, recovered, expect, acked)
 
     def fault_plans(self, seed: int) -> List[FailPlan]:
         return _fault_plans(
             ops=("open", "write", "flush", "fsync", "dir_fsync"),
-            crash_ops=("write", "fsync"), seed=seed,
+            crash_ops=("write", "fsync"), seed=seed + self.seed_offset,
         )
 
     def fault_run(self, plan: FailPlan, workdir: Path) -> List[str]:
-        entries = _arrival_entries(self.records)
         path = workdir / self.filename
-        layer = StorageLayer(plan=plan)
-        journal = ArrivalJournal(path, storage=layer)
+        journal = self.journal_type(path, storage=StorageLayer(plan=plan))
         problems: List[str] = []
-        acked: List[str] = []
+        acked = 0
         crashed = False
         broke = False
-        for entry in entries:
+        for entry in self.entries:
             try:
                 journal.append(entry)
-                acked.append(entry.to_json())
+                acked += 1
             except JournalWriteError:
                 broke = True
                 break
@@ -203,100 +225,13 @@ class ServeJournalProtocol:
         if broke:
             problems.extend(_check_journal_broken(
                 self.name, journal.broken,
-                lambda: journal.append(entries[-1]),
+                lambda: journal.append(self.entries[-1]),
             ))
         if not crashed:
             journal.close()
-        recovered_journal = ArrivalJournal(path, resume=True)
-        recovered = [
-            recovered_journal.entries[s].to_json()
-            for s in sorted(recovered_journal.entries)
-        ]
-        problems.extend(
-            _check_prefix(self.name, recovered, [e.to_json() for e in entries],
-                          len(acked))
-        )
-        return problems
-
-
-class SweepJournalProtocol:
-    """Sweep journal: same contract, keyed by cell."""
-
-    name = "sweep-journal"
-    records = 12
-    filename = "sweep.journal"
-
-    def _pairs(self) -> List[Tuple[str, str]]:
-        return [
-            (f"cell-{i:02d}",
-             json.dumps({"cell": i, "mean": 1.5 * i}, sort_keys=True,
-                        separators=(",", ":")))
-            for i in range(self.records)
-        ]
-
-    def run(self, layer: StorageLayer, workdir: Path) -> List[str]:
-        journal = SweepJournal(workdir / self.filename, storage=layer)
-        lines = []
-        for key, payload in self._pairs():
-            entry = journal.append(key, payload, label=key)
-            layer.ack("append", key)
-            lines.append(entry.to_json())
-        journal.close()
-        return lines
-
-    def check(self, state_dir: Path, acked: int,
-              expect: List[str]) -> List[str]:
-        journal = SweepJournal(state_dir / self.filename, resume=True)
-        recovered = [entry.to_json() for entry in journal.entries.values()]
-        return _check_prefix(self.name, recovered, expect, acked)
-
-    def fault_plans(self, seed: int) -> List[FailPlan]:
-        return _fault_plans(
-            ops=("open", "write", "flush", "fsync", "dir_fsync"),
-            crash_ops=("write", "fsync"), seed=seed + 1,
-        )
-
-    def fault_run(self, plan: FailPlan, workdir: Path) -> List[str]:
-        pairs = self._pairs()
-        path = workdir / self.filename
-        layer = StorageLayer(plan=plan)
-        journal = SweepJournal(path, storage=layer)
-        problems: List[str] = []
-        acked: List[str] = []
-        crashed = False
-        broke = False
-        for key, payload in pairs:
-            try:
-                entry = journal.append(key, payload, label=key)
-                acked.append(entry.to_json())
-            except JournalWriteError:
-                broke = True
-                break
-            except CrashPoint:
-                crashed = True
-                break
-            except OSError as exc:
-                problems.append(
-                    f"raw OSError escaped append ({type(exc).__name__}); "
-                    f"expected JournalWriteError"
-                )
-                break
-        if broke:
-            problems.extend(_check_journal_broken(
-                self.name, journal.broken,
-                lambda: journal.append(pairs[-1][0], pairs[-1][1]),
-            ))
-        if not crashed:
-            journal.close()
-        recovered_journal = SweepJournal(path, resume=True)
-        recovered = [e.to_json() for e in recovered_journal.entries.values()]
-        full = []
-        probe = SweepJournal(workdir / ".expect.journal")
-        for key, payload in pairs:
-            full.append(probe.append(key, payload, label=key).to_json())
-        probe.close()
-        problems.extend(_check_prefix(self.name, recovered, full, len(acked)))
-        return problems
+        expect = [entry.to_json() for entry in self.entries]
+        recovered = self._recovered(path)
+        return problems + _check_prefix(self.name, recovered, expect, acked)
 
 
 def _check_prefix(name: str, recovered: List[str], expect: List[str],
@@ -629,13 +564,16 @@ class StatusProtocol:
         return [f"{self.name}: {p}" for p in problems]
 
 
-_PROTOCOLS: Dict[str, Any] = {
-    ServeJournalProtocol.name: ServeJournalProtocol,
-    SweepJournalProtocol.name: SweepJournalProtocol,
-    CheckpointProtocol.name: CheckpointProtocol,
-    CacheProtocol.name: CacheProtocol,
-    StatusProtocol.name: StatusProtocol,
-}
+_HARNESSES: Tuple[Any, ...] = (
+    JournalProtocol("serve-journal", "arrivals.jsonl", ArrivalJournal,
+                    _arrival_entries(12), seed_offset=0),
+    JournalProtocol("sweep-journal", "sweep.journal", SweepJournal,
+                    _cell_entries(12), seed_offset=1),
+    CheckpointProtocol(),
+    CacheProtocol(),
+    StatusProtocol(),
+)
+_PROTOCOLS: Dict[str, Any] = {harness.name: harness for harness in _HARNESSES}
 
 
 # ----------------------------------------------------------------------
@@ -671,7 +609,7 @@ def run_protocol_torture(
     fault pass is skipped under mutation (it tests the un-mutated
     degraded-behavior contract).
     """
-    harness = _PROTOCOLS[protocol]()
+    harness = _PROTOCOLS[protocol]
     report = TortureReport(protocol)
     proto_dir = base_dir / protocol
     workdir = proto_dir / "run"

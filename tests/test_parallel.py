@@ -37,6 +37,8 @@ from repro.parallel import (
     execute_cell,
     payload_digest,
 )
+from repro.fuzz.oracle import check_sweep_journal
+from repro.parallel.journal import JournalEntry
 from repro.validate import validate_sweep
 
 #: fast retry budget for failure-path tests (no real backoff waiting)
@@ -509,7 +511,6 @@ class TestSweepJournal:
         assert len(journal) == 0
         assert not path.exists()
 
-
 class TestJournalStorageDegradation:
     """A broken journal degrades the sweep honestly, never wrongly."""
 
@@ -551,6 +552,17 @@ class TestJournalStorageDegradation:
         runner.last_stats.storage_degraded = 0  # lie about the break
         problems = validate_sweep(runner, cells, payloads)
         assert any("storage degradation" in p for p in problems)
+
+    def test_live_oracle_agrees_with_validate_sweep(self, tmp_path):
+        # the fuzzer's live check and the post-hoc validator are one
+        # invariant: both accept honest degradation, both flag a lie
+        cells, runner, _, payloads = self._broken_journal_run(
+            tmp_path, nth=3
+        )
+        assert check_sweep_journal(runner, cells, payloads) == []
+        runner.last_stats.storage_degraded = 0
+        live = check_sweep_journal(runner, cells, payloads)
+        assert live == validate_sweep(runner, cells, payloads) != []
 
     def test_journalled_prefix_still_resumable(self, tmp_path):
         cells, _, _, fresh = self._broken_journal_run(tmp_path, nth=3)
@@ -630,43 +642,6 @@ def _nowarn():
 
 
 class TestJournalDuplicates:
-    def _write(self, path, records):
-        with SweepJournal(path) as journal:
-            for key, payload in records:
-                journal.append(key, payload)
-
-    def test_duplicate_key_last_write_wins(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        self._write(path, [("a", "one"), ("b", "x"), ("a", "two")])
-        journal = SweepJournal(path, resume=True)
-        assert len(journal) == 2
-        assert journal.duplicates == 1
-        assert not journal.torn_tail
-        entry = journal.get("a")
-        assert entry is not None and entry.matches("two")
-        assert not entry.matches("one")
-
-    def test_duplicates_compose_with_torn_tail(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        self._write(path, [("a", "one"), ("a", "two"), ("b", "x")])
-        path.write_bytes(path.read_bytes()[:-5])  # tear the "b" record
-        journal = SweepJournal(path, resume=True)
-        assert journal.torn_tail
-        assert journal.duplicates == 1
-        assert len(journal) == 1
-        assert journal.get("a").matches("two")
-        assert journal.get("b") is None
-
-    def test_tear_inside_the_duplicate_keeps_first_record(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        self._write(path, [("a", "one"), ("b", "x"), ("a", "two")])
-        path.write_bytes(path.read_bytes()[:-5])  # tear the second "a"
-        journal = SweepJournal(path, resume=True)
-        assert journal.torn_tail
-        assert journal.duplicates == 0
-        assert len(journal) == 2
-        assert journal.get("a").matches("one")
-
     def test_fresh_journal_has_no_duplicates(self, tmp_path):
         journal = SweepJournal(tmp_path / "j.jsonl")
         assert journal.duplicates == 0
@@ -678,7 +653,9 @@ class TestJournalDuplicates:
             runner = SweepRunner(cache=cache, journal=journal)
             fresh = runner.run_serialized(cells)
             # Simulate a retried cell journalled twice.
-            journal.append(cell_key(cells[0].fn, cells[0].params), fresh[0])
+            journal.append(JournalEntry.of_payload(
+                cell_key(cells[0].fn, cells[0].params), fresh[0]
+            ))
         journal = SweepJournal(tmp_path / "j.jsonl", resume=True)
         assert journal.duplicates == 1
         runner = SweepRunner(cache=cache, journal=journal)

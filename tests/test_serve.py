@@ -140,34 +140,6 @@ class TestJournal:
         got = resumed.entries[2]
         assert (got.job_id, got.app, got.submit, got.request) == (2, "bt.A", 3.0, 4)
 
-    def test_fresh_journal_truncates(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        with ArrivalJournal(path) as journal:
-            journal.append(self.entry(1))
-        fresh = ArrivalJournal(path, resume=False)
-        assert len(fresh) == 0
-        assert not path.exists()
-
-    def test_torn_tail_tolerated(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        with ArrivalJournal(path) as journal:
-            for seq in (1, 2):
-                journal.append(self.entry(seq))
-        with open(path, "ab") as handle:
-            handle.write(b'{"v":1,"seq":3,"jo')  # crash mid-write
-        resumed = ArrivalJournal(path, resume=True)
-        assert resumed.torn_tail
-        assert sorted(resumed.entries) == [1, 2]
-
-    def test_duplicate_seq_last_wins(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        with ArrivalJournal(path) as journal:
-            journal.append(self.entry(1, request=4))
-            journal.append(self.entry(1, request=9))
-        resumed = ArrivalJournal(path, resume=True)
-        assert resumed.duplicates == 1
-        assert resumed.entries[1].request == 9
-
     def test_tail_after(self, tmp_path):
         path = tmp_path / "j.jsonl"
         with ArrivalJournal(path) as journal:

@@ -1,6 +1,6 @@
 """The fault-injectable storage layer (:mod:`repro.storage`).
 
-Four aspects under test:
+Five aspects under test:
 
 * **FailPlan** — deterministic fault schedules: nth-occurrence
   counting, path globs, persistence, seeded plans;
@@ -8,14 +8,16 @@ Four aspects under test:
   writes, fsyncgate page-drop emulation (failed fsync truncates to
   the last synced size), crash points that survive ``except
   Exception`` cleanup, and the atomic write protocol;
-* **wired protocols degraded behaviors** — both journals break
-  permanently on the first IO failure (satellite 1), the status
-  writer fsyncs before renaming (satellite 2), the cache degrades to
-  "not cached" with an honest counter (satellite 3), the checkpoint
-  writer fails typed with the previous envelope intact;
-* **torn-tail compaction** — resuming a torn journal rewrites it so
-  later appends stay recoverable, including the hypothesis
-  fixed-point property over every torn prefix (satellite 4).
+* **wired protocols degraded behaviors** — the status writer fsyncs
+  before renaming, the cache degrades to "not cached" with an honest
+  counter, the checkpoint writer fails typed with the previous
+  envelope intact;
+* **the journal contract** — held once over both journal codecs
+  (arrivals and sweep cells): truncate-or-resume, the torn-tail stop
+  (also on intact JSON the codec cannot decode), last-wins
+  duplicates, the permanent fsyncgate break, compaction on resume,
+  the pinned file bytes, and the hypothesis fixed-point property over
+  every torn prefix.
 """
 
 from __future__ import annotations
@@ -34,8 +36,10 @@ from repro.checkpoint import (
 )
 from repro.fuzz.profiles import tier_settings
 from repro.parallel.cache import ResultCache
+from repro.parallel.journal import JournalEntry as CellEntry
 from repro.parallel.journal import SweepJournal
-from repro.serve.journal import ArrivalJournal, JournalEntry
+from repro.serve.journal import ArrivalJournal
+from repro.serve.journal import JournalEntry as ArrivalEntry
 from repro.serve.service import read_status, write_status_payload
 from repro.storage.layer import (
     CrashPoint,
@@ -45,11 +49,6 @@ from repro.storage.layer import (
     StorageLayer,
 )
 from repro.storage.plan import FailPlan, FailRule
-
-
-def entry(seq: int) -> JournalEntry:
-    return JournalEntry(seq=seq, job_id=100 + seq, app="w2",
-                        submit=1.5 * seq, request=4)
 
 
 class TestFailPlan:
@@ -188,58 +187,6 @@ class TestStorageLayer:
             trace.rel(tmp_path / "elsewhere" / "f")
 
 
-class TestJournalFsyncgate:
-    """Satellite 1: after a failed append, journals break permanently."""
-
-    # a failed write never lands; a failed flush breaks the journal
-    # but the record already reached the kernel (recovering it is
-    # legal — recovery may exceed the acked count, never trail it);
-    # a failed fsync truncates to the last synced size (fsyncgate)
-    @pytest.mark.parametrize("nth_op,recovered_seqs", [
-        ("write", [1, 2]),
-        ("flush", [1, 2, 3]),
-        ("fsync", [1, 2]),
-    ])
-    def test_arrival_journal_breaks_permanently(self, tmp_path, nth_op,
-                                                recovered_seqs):
-        layer = StorageLayer(plan=FailPlan.single(nth_op, nth=3))
-        journal = ArrivalJournal(tmp_path / "j.jsonl", storage=layer)
-        journal.append(entry(1))
-        journal.append(entry(2))
-        with pytest.raises(JournalWriteError):
-            journal.append(entry(3))
-        assert journal.broken is not None
-        # the plan only fires once; the refusal is the journal's own
-        with pytest.raises(JournalWriteError):
-            journal.append(entry(4))
-        assert sorted(journal.entries) == [1, 2]
-        recovered = ArrivalJournal(tmp_path / "j.jsonl", resume=True)
-        assert sorted(recovered.entries) == recovered_seqs
-
-    def test_sweep_journal_breaks_permanently(self, tmp_path):
-        layer = StorageLayer(plan=FailPlan.single("fsync", nth=2))
-        journal = SweepJournal(tmp_path / "s.journal", storage=layer)
-        journal.append("k1", "payload-one")
-        with pytest.raises(JournalWriteError):
-            journal.append("k2", "payload-two")
-        with pytest.raises(JournalWriteError):
-            journal.append("k3", "payload-three")
-        assert journal.broken is not None
-        recovered = SweepJournal(tmp_path / "s.journal", resume=True)
-        assert list(recovered.entries) == ["k1"]
-
-    def test_fsyncgate_failed_append_leaves_no_torn_record(self, tmp_path):
-        # the truncate-to-synced-size emulation means the failed
-        # record's bytes are gone, not half-present
-        layer = StorageLayer(plan=FailPlan.single("fsync", nth=2))
-        journal = ArrivalJournal(tmp_path / "j.jsonl", storage=layer)
-        journal.append(entry(1))
-        size_before = (tmp_path / "j.jsonl").stat().st_size
-        with pytest.raises(JournalWriteError):
-            journal.append(entry(2))
-        assert (tmp_path / "j.jsonl").stat().st_size == size_before
-
-
 class TestStatusWriter:
     """Satellite 2: fsync-before-rename, old-or-new-never-torn."""
 
@@ -320,86 +267,285 @@ class TestCheckpointWriter:
         assert not target.exists()
 
 
-class TestTornTailCompaction:
-    def _journal_bytes(self, tmp_path, n=6) -> bytes:
-        journal = ArrivalJournal(tmp_path / "full.jsonl")
-        for seq in range(1, n + 1):
-            journal.append(entry(seq))
-        journal.close()
-        return (tmp_path / "full.jsonl").read_bytes()
 
-    def test_append_after_torn_resume_stays_recoverable(self, tmp_path):
-        raw = self._journal_bytes(tmp_path)
-        torn = tmp_path / "torn.jsonl"
-        torn.write_bytes(raw[:-9])  # tear the last record
-        journal = ArrivalJournal(torn, resume=True)
-        assert journal.torn_tail
-        assert sorted(journal.entries) == [1, 2, 3, 4, 5]
-        journal.append(entry(6))
-        journal.close()
-        # without compaction-on-resume, entry 6 would hide behind the
-        # unparseable line and recovery would stop at 5
-        recovered = ArrivalJournal(torn, resume=True)
-        assert not recovered.torn_tail
-        assert sorted(recovered.entries) == [1, 2, 3, 4, 5, 6]
 
-    def test_sweep_journal_compacts_on_resume(self, tmp_path):
-        journal = SweepJournal(tmp_path / "s.journal")
-        journal.append("k1", "one")
-        journal.append("k2", "two")
-        journal.close()
-        path = tmp_path / "s.journal"
-        path.write_bytes(path.read_bytes()[:-7])
-        resumed = SweepJournal(path, resume=True)
+# ----------------------------------------------------------------------
+# the durable-log contract, held once over both journal codecs
+# ----------------------------------------------------------------------
+class Codec:
+    """One journal codec: its journal class and a record factory.
+
+    ``entry(n, variant)`` is record *n*; another *variant* is a
+    different record under the same key.
+    """
+
+    def __init__(self, name, journal, entry, null_field):
+        self.name = name
+        self.journal = journal
+        self.entry = entry
+        #: a numeric field whose ``null`` leaves the line undecodable
+        self.null_field = null_field
+
+    def key(self, n):
+        return self.entry(n).key
+
+    def keys(self, *ns):
+        return [self.key(n) for n in ns]
+
+    def line(self, n, variant=0) -> bytes:
+        return self.entry(n, variant).to_json().encode("utf-8")
+
+    def write(self, path, *records) -> bytes:
+        """Journal *records* (``n`` or ``(n, variant)``) fresh at *path*."""
+        with self.journal(path) as journal:
+            for record in records:
+                n, variant = record if isinstance(record, tuple) else (record, 0)
+                journal.append(self.entry(n, variant))
+        return path.read_bytes()
+
+
+ARRIVAL = Codec(
+    "arrival", ArrivalJournal,
+    lambda n, variant=0: ArrivalEntry(seq=n, job_id=100 + n, app="w2",
+                                      submit=1.5 * n, request=4 + variant),
+    null_field="job",
+)
+SWEEP = Codec(
+    "sweep", SweepJournal,
+    lambda n, variant=0: CellEntry.of_payload(
+        f"cell-{n}", f"payload-{n}-{variant}", label=f"cell-{n}"
+    ),
+    null_field="bytes",
+)
+CODECS = (ARRIVAL, SWEEP)
+
+
+@pytest.fixture(params=CODECS, ids=[c.name for c in CODECS])
+def codec(request):
+    return request.param
+
+
+class TestJournalContract:
+    """Truncate-or-resume, the torn-tail stop and last-wins duplicates."""
+
+    def test_fresh_journal_truncates(self, codec, tmp_path):
+        path = tmp_path / "j.jsonl"
+        codec.write(path, 1, (1, 5))
+        fresh = codec.journal(path, resume=False)
+        assert len(fresh) == 0
+        assert fresh.duplicates == 0 and not fresh.torn_tail
+        assert not path.exists()
+
+    def test_torn_tail_tolerated(self, codec, tmp_path):
+        path = tmp_path / "j.jsonl"
+        raw = codec.write(path, 1, 2)
+        path.write_bytes(raw + codec.line(3)[:18])  # crash mid-write
+        resumed = codec.journal(path, resume=True)
         assert resumed.torn_tail
-        resumed.append("k3", "three")
-        resumed.close()
-        recovered = SweepJournal(path, resume=True)
-        assert list(recovered.entries) == ["k1", "k3"]
+        assert list(resumed.entries) == codec.keys(1, 2)
+
+    def test_duplicate_key_last_write_wins(self, codec, tmp_path):
+        path = tmp_path / "j.jsonl"
+        codec.write(path, 1, 2, (1, 5))
+        journal = codec.journal(path, resume=True)
+        assert len(journal) == 2
+        assert journal.duplicates == 1
+        assert not journal.torn_tail
+        assert journal.get(codec.key(1)).to_json() == codec.entry(1, 5).to_json()
+
+    def test_duplicates_compose_with_torn_tail(self, codec, tmp_path):
+        path = tmp_path / "j.jsonl"
+        raw = codec.write(path, 1, (1, 5), 2)
+        path.write_bytes(raw[:-5])  # tear record 2
+        journal = codec.journal(path, resume=True)
+        assert journal.torn_tail
+        assert journal.duplicates == 1
+        assert list(journal.entries) == codec.keys(1)
+        assert journal.get(codec.key(1)).to_json() == codec.entry(1, 5).to_json()
+        assert journal.get(codec.key(2)) is None
+
+    def test_tear_inside_the_duplicate_keeps_first_record(self, codec, tmp_path):
+        path = tmp_path / "j.jsonl"
+        raw = codec.write(path, 1, 2, (1, 5))
+        path.write_bytes(raw[:-5])  # tear the second record 1
+        journal = codec.journal(path, resume=True)
+        assert journal.torn_tail
+        assert journal.duplicates == 0
+        assert len(journal) == 2
+        assert journal.get(codec.key(1)).to_json() == codec.entry(1).to_json()
+
+    @pytest.mark.parametrize("kind", ["null-field", "json-list", "json-number"])
+    def test_malformed_line_is_a_torn_tail(self, codec, kind, tmp_path):
+        # intact JSON that the codec cannot decode: loading stops there
+        # without raising, and compaction drops it and what follows
+        fields = json.loads(codec.line(2))
+        fields[codec.null_field] = None
+        bad = {
+            "null-field": json.dumps(fields), "json-list": "[1]",
+            "json-number": "7",
+        }[kind].encode("utf-8")
+        path = tmp_path / "j.jsonl"
+        path.write_bytes(b"\n".join([codec.line(1), bad, codec.line(3), b""]))
+        journal = codec.journal(path, resume=True)
+        assert journal.torn_tail
+        assert list(journal.entries) == codec.keys(1)
+        assert path.read_bytes() == codec.line(1) + b"\n"
 
 
-def _reference_journal_bytes(tmp_path) -> bytes:
-    journal = ArrivalJournal(tmp_path / "ref.jsonl")
-    for seq in range(1, 9):
-        journal.append(entry(seq))
-    journal.close()
-    return (tmp_path / "ref.jsonl").read_bytes()
+class TestJournalFsyncgate:
+    """After a failed append, a journal breaks permanently."""
+
+    # a failed write never lands; a failed flush breaks the journal
+    # but the record already reached the kernel (recovering it is
+    # legal — recovery may exceed the acked count, never trail it);
+    # a failed fsync truncates to the last synced size (fsyncgate)
+    @pytest.mark.parametrize("nth_op,recovered", [
+        ("write", 2),
+        ("flush", 3),
+        ("fsync", 2),
+    ])
+    def test_journal_breaks_permanently(self, codec, nth_op, recovered, tmp_path):
+        layer = StorageLayer(plan=FailPlan.single(nth_op, nth=3))
+        path = tmp_path / "j.jsonl"
+        journal = codec.journal(path, storage=layer)
+        journal.append(codec.entry(1))
+        journal.append(codec.entry(2))
+        with pytest.raises(JournalWriteError):
+            journal.append(codec.entry(3))
+        assert journal.broken is not None
+        # the plan only fires once; the refusal is the journal's own
+        with pytest.raises(JournalWriteError):
+            journal.append(codec.entry(4))
+        journal.close()
+        assert list(journal.entries) == codec.keys(1, 2)
+        resumed = codec.journal(path, resume=True)
+        assert list(resumed.entries) == codec.keys(*range(1, recovered + 1))
+
+    def test_fsyncgate_failed_append_leaves_no_torn_record(self, codec, tmp_path):
+        # the truncate-to-synced-size emulation means the failed
+        # record's bytes are gone, not half-present
+        layer = StorageLayer(plan=FailPlan.single("fsync", nth=2))
+        path = tmp_path / "j.jsonl"
+        journal = codec.journal(path, storage=layer)
+        journal.append(codec.entry(1))
+        size_before = path.stat().st_size
+        with pytest.raises(JournalWriteError):
+            journal.append(codec.entry(2))
+        journal.close()
+        assert path.stat().st_size == size_before
+
+
+class TestTornTailCompaction:
+    def test_append_after_torn_resume_stays_recoverable(self, codec, tmp_path):
+        path = tmp_path / "torn.jsonl"
+        raw = codec.write(path, 1, 2, 3, 4, 5, 6)
+        path.write_bytes(raw[:-9])  # tear the last record
+        journal = codec.journal(path, resume=True)
+        assert journal.torn_tail
+        assert list(journal.entries) == codec.keys(1, 2, 3, 4, 5)
+        journal.append(codec.entry(6))
+        journal.close()
+        # without compaction-on-resume, record 6 would hide behind the
+        # undecodable line and recovery would stop at 5
+        recovered = codec.journal(path, resume=True)
+        assert not recovered.torn_tail
+        assert list(recovered.entries) == codec.keys(1, 2, 3, 4, 5, 6)
+
+    def test_ragged_tail_is_compacted(self, codec, tmp_path):
+        # an intact last record that lost only its newline would merge
+        # with the next append into one undecodable line
+        path = tmp_path / "ragged.jsonl"
+        raw = codec.write(path, 1, 2)
+        path.write_bytes(raw[:-1])
+        journal = codec.journal(path, resume=True)
+        assert not journal.torn_tail
+        assert path.read_bytes() == raw
+        journal.append(codec.entry(3))
+        journal.close()
+        assert list(codec.journal(path, resume=True).entries) == codec.keys(1, 2, 3)
+
+
+#: journal file bytes (append, then compaction) written by the two
+#: journals before they shared one implementation
+PINNED_BYTES = {
+    "arrival": (
+        b'{"app":"w2","job":101,"request":4,"seq":1,"submit":1.5,"v":1}\n'
+        b'{"app":"w2","job":102,"request":4,"seq":2,"submit":3.0,"v":1}\n'
+        b'{"app":"w2","job":103,"request":4,"seq":3,"submit":4.5,"v":1}\n',
+        b'{"app":"w2","job":101,"request":4,"seq":1,"submit":1.5,"v":1}\n'
+        b'{"app":"w2","job":102,"request":8,"seq":2,"submit":3.0,"v":1}\n'
+        b'{"app":"w2","job":103,"request":8,"seq":3,"submit":4.5,"v":1}\n',
+    ),
+    "sweep": (
+        b'{"bytes":11,"key":"cell-1","label":"cell-1","sha256":'
+        b'"9a74aab92223250b37b7811307555bf581e873f0ec0cd2b3393f806285c0a77f","v":1}\n'
+        b'{"bytes":11,"key":"cell-2","label":"cell-2","sha256":'
+        b'"9abce9b4134e0f1843f372429634aa8c6b54dca974854fee128cc7d3c1879c86","v":1}\n'
+        b'{"bytes":11,"key":"cell-3","label":"cell-3","sha256":'
+        b'"09226f687dd6276a0252ef67a9eb2e21c30277e8740e0a7ce2805c8128463af7","v":1}\n',
+        b'{"bytes":11,"key":"cell-1","label":"cell-1","sha256":'
+        b'"9a74aab92223250b37b7811307555bf581e873f0ec0cd2b3393f806285c0a77f","v":1}\n'
+        b'{"bytes":11,"key":"cell-2","label":"cell-2","sha256":'
+        b'"eea0b10c4420ad883b4cd818e2021dc3cbac5f49e863b91c24286b7f7c86b865","v":1}\n'
+        b'{"bytes":11,"key":"cell-3","label":"cell-3","sha256":'
+        b'"e0db300c70f82423455884ece4469ae84db6d7fa779650598a1c9cc6bbe39371","v":1}\n',
+    ),
+}
+
+
+class TestJournalBytes:
+    def test_append_bytes(self, codec, tmp_path):
+        raw = codec.write(tmp_path / "j.jsonl", 1, 2, 3)
+        assert raw == PINNED_BYTES[codec.name][0]
+
+    def test_compaction_bytes(self, codec, tmp_path):
+        # 1, 2, 3 appended; a restart re-appends 2 and 3 (last wins)
+        # and a crash tears 4.  Compaction keeps first-occurrence
+        # order, which for arrivals must be seq order.
+        path = tmp_path / "j.jsonl"
+        codec.write(path, 1, 2, 3)
+        with codec.journal(path, resume=True) as journal:
+            journal.append(codec.entry(2, 4))
+            journal.append(codec.entry(3, 4))
+        path.write_bytes(path.read_bytes() + codec.line(4)[:-6])
+        journal = codec.journal(path, resume=True)
+        assert (journal.duplicates, journal.torn_tail) == (2, True)
+        assert path.read_bytes() == PINNED_BYTES[codec.name][1]
 
 
 @tier_settings("standard")
-@given(cut=st.integers(min_value=0, max_value=400))
+@given(cut=st.integers(min_value=0, max_value=2000))
 def test_torn_prefix_recovery_is_a_fixed_point(cut, tmp_path_factory):
-    """Satellite 4: recovery of a recovered journal changes nothing.
+    """Recovery of a recovered journal changes nothing, on both codecs.
 
-    For *every* byte-prefix of a real arrival journal: loading
-    recovers exactly the intact record prefix, a second load recovers
-    the same entries, and an append after recovery survives the next
-    load — replay state reaches a fixed point in one step.
+    For *every* byte-prefix of a real journal: loading recovers
+    exactly the intact record prefix, a second load recovers the same
+    entries, and an append after recovery survives the next load —
+    replay state reaches a fixed point in one step.
     """
-    tmp_path = tmp_path_factory.mktemp("fp")
-    raw = _reference_journal_bytes(tmp_path)
-    cut = min(cut, len(raw))
-    torn = tmp_path / "torn.jsonl"
-    torn.write_bytes(raw[:cut])
+    for codec in CODECS:
+        tmp_path = tmp_path_factory.mktemp(f"fp-{codec.name}")
+        raw = codec.write(tmp_path / "ref.jsonl", *range(1, 9))
+        cut_at = cut % (len(raw) + 1)
+        torn = tmp_path / "torn.jsonl"
+        torn.write_bytes(raw[:cut_at])
 
-    # a record is recoverable once its JSON bytes are all present —
-    # the trailing newline is separator, not content
-    expected = []
-    start = 0
-    for line in raw.split(b"\n"):
-        if not line:
-            continue
-        if start + len(line) <= cut:
-            expected.append(JournalEntry.from_json(line.decode()).seq)
-        start += len(line) + 1
+        # a record is recoverable once its JSON bytes are all present —
+        # the trailing newline is separator, not content
+        expected = []
+        start = 0
+        for n, line in enumerate(raw.split(b"\n")[:-1], start=1):
+            if start + len(line) <= cut_at:
+                expected.append(n)
+            start += len(line) + 1
 
-    first = ArrivalJournal(torn, resume=True)
-    assert sorted(first.entries) == expected
-    second = ArrivalJournal(torn, resume=True)
-    assert second.entries.keys() == first.entries.keys()
-    assert not second.torn_tail  # compaction happened at most once
-    next_seq = max(expected, default=0) + 1
-    second.append(entry(next_seq))
-    second.close()
-    third = ArrivalJournal(torn, resume=True)
-    assert sorted(third.entries) == expected + [next_seq]
+        first = codec.journal(torn, resume=True)
+        assert list(first.entries) == codec.keys(*expected)
+        second = codec.journal(torn, resume=True)
+        assert second.entries.keys() == first.entries.keys()
+        assert not second.torn_tail  # compaction happened at most once
+        after = len(expected) + 1
+        second.append(codec.entry(after))
+        second.close()
+        third = codec.journal(torn, resume=True)
+        assert list(third.entries) == codec.keys(*expected, after)

@@ -34,7 +34,7 @@ from repro.storage.torture import (
     enumerate_crash_states,
     materialise,
 )
-from repro.validate import validate_torture
+from repro.validate import TORTURE_STATE_FLOOR, validate_torture
 
 
 def _trace(tmp_path, script) -> OpTrace:
@@ -166,6 +166,16 @@ class TestCampaign:
             run_torture(["no-such-protocol"], seed=0, budget=10,
                         base_dir=tmp_path)
 
+    @pytest.mark.parametrize("protocol", ["serve-journal", "sweep-journal"])
+    def test_journal_protocol_coverage_is_pinned(self, tmp_path, protocol):
+        # both codecs run through one journal harness; each must keep
+        # its full enumeration and fault matrix
+        report = run_protocol_torture(
+            protocol, seed=0, budget=400, base_dir=tmp_path
+        )
+        assert report.violations == []
+        assert (report.crash_states, report.fault_runs) == (62, 40)
+
     def test_keep_failures_preserves_state(self, tmp_path):
         keep = tmp_path / "failures"
         report = run_protocol_torture(
@@ -215,7 +225,18 @@ def clean_reports(tmp_path_factory):
 class TestValidateTorture:
     def test_clean_campaign_validates(self, clean_reports):
         assert validate_torture(clean_reports, budget=40) == []
-        assert sum(r.states for r in clean_reports) >= 200
+        assert sum(r.states for r in clean_reports) >= TORTURE_STATE_FLOOR
+
+    def test_losing_a_journal_harness_breaks_the_floor(self, clean_reports):
+        shrunk = []
+        for report in clean_reports:
+            copy = type(report)(report.protocol)
+            if report.protocol != "sweep-journal":
+                copy.crash_states = report.crash_states
+                copy.fault_runs = report.fault_runs
+            shrunk.append(copy)
+        problems = validate_torture(shrunk, budget=40)
+        assert [p.code for p in problems] == ["torture-coverage"]
 
     def test_violations_are_reported(self, tmp_path):
         reports = [run_protocol_torture(
